@@ -17,7 +17,7 @@ import argparse
 import configparser
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import data as dt
 from . import metrics as mt
 from . import models as md
 from . import training as tr
-from .errors import ConfigurationError, DataError, MixcastError, NumericError
+from .errors import ConfigurationError, DataError, FormatError, MixcastError, NumericError
 from .params_io import load_params, save_params
 
 _BUFFER_PREFIX = "buffer:"
@@ -222,16 +222,15 @@ def _model_config_for(frame: dt.SeriesFrame, exp: Experiment) -> md.ModelConfig:
 # checkpoints
 
 
-_MODEL_FIELDS = ("family", "lookback", "horizon", "targets", "hist_covariates",
-                 "future_covariates", "static_features", "hidden", "blocks", "dropout",
-                 "norm", "norm_placement", "batch_stats", "head", "rev_in")
+_FIELD_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
+                  "str": lambda raw, where: raw.strip("'\"")}
 
 
 def save_checkpoint(out: Path, model: md.Forecaster, scaler: dt.Standardizer | None,
                     seed: int) -> None:
     lines = [f"# {provenance(seed)}", "[model]"]
-    for name in _MODEL_FIELDS:
-        lines.append(f"{name} = {getattr(model.config, name)!r}")
+    for f in fields(md.ModelConfig):
+        lines.append(f"{f.name} = {getattr(model.config, f.name)!r}")
     lines.append("")
     lines.append("[preprocess]")
     lines.append(f"standardize = {scaler is not None}")
@@ -247,6 +246,36 @@ def save_checkpoint(out: Path, model: md.Forecaster, scaler: dt.Standardizer | N
     save_params(out / "params.bin", blob)
 
 
+def _read_section(parser: configparser.ConfigParser, ini: Path, section: str,
+                  keys: list[str]) -> dict[str, str]:
+    """The raw values of ``section``, which must hold exactly ``keys``."""
+    if not parser.has_section(section):
+        raise ConfigurationError(f"{ini}: no [{section}] section")
+    raw = dict(parser.items(section))
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise ConfigurationError(f"{ini}: [{section}] is missing key {missing[0]!r}")
+    extra = sorted(set(raw) - set(keys))
+    if extra:
+        raise ConfigurationError(f"{ini}: [{section}] has unknown key {extra[0]!r}")
+    return raw
+
+
+def _read_scaler(parser: configparser.ConfigParser, ini: Path) -> dt.Standardizer | None:
+    if not parser.has_section("preprocess") or parser["preprocess"].get("standardize") != "True":
+        return None
+    pre = _read_section(parser, ini, "preprocess", ["standardize", "columns", "mean", "std"])
+    columns = pre["columns"].split()
+    stats = {key: np.array([_parse_float(v, f"{ini}: preprocess.{key}") for v in pre[key].split()])
+             for key in ("mean", "std")}
+    for key, values in stats.items():
+        if values.size != len(columns):
+            raise ConfigurationError(
+                f"{ini}: preprocess.{key} has {values.size} values for {len(columns)} columns"
+            )
+    return dt.Standardizer(columns, stats["mean"], stats["std"])
+
+
 def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
     path = Path(path)
     ini = path / "model.ini" if path.is_dir() else path
@@ -254,49 +283,32 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
         raise ConfigurationError(f"checkpoint {path} has no model.ini")
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser.read(ini)
-    sec = parser["model"]
-    cfg = md.ModelConfig(
-        family=sec["family"].strip("'\""),
-        lookback=int(sec["lookback"]),
-        horizon=int(sec["horizon"]),
-        targets=int(sec["targets"]),
-        hist_covariates=int(sec["hist_covariates"]),
-        future_covariates=int(sec["future_covariates"]),
-        static_features=int(sec["static_features"]),
-        hidden=int(sec["hidden"]),
-        blocks=int(sec["blocks"]),
-        dropout=float(sec["dropout"]),
-        norm=sec["norm"].strip("'\""),
-        norm_placement=sec["norm_placement"].strip("'\""),
-        batch_stats=sec["batch_stats"].strip("'\""),
-        head=sec["head"].strip("'\""),
-        rev_in=sec["rev_in"] == "True",
-    )
+    try:
+        parser.read(ini)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        reason = str(exc).splitlines()[0]
+        raise ConfigurationError(f"{ini} is not a valid INI file: {reason}") from None
+    model_fields = fields(md.ModelConfig)
+    raw = _read_section(parser, ini, "model", [f.name for f in model_fields])
+    cfg = md.ModelConfig(**{f.name: _FIELD_PARSERS[f.type](raw[f.name], f"{ini}: model.{f.name}")
+                            for f in model_fields})
     model = md.Forecaster(cfg, seed=0)
-    blob = load_params(ini.parent / "params.bin")
-    for name in model.params:
-        if name not in blob:
-            raise ConfigurationError(f"checkpoint is missing parameter {name!r}")
-        if blob[name].shape != model.params[name].shape:
+    params_path = ini.parent / "params.bin"
+    blob = load_params(params_path)
+    slots = [("parameter", name, name, arr) for name, arr in model.params.items()]
+    slots += [("buffer", name, _BUFFER_PREFIX + name, arr) for name, arr in model.buffers.items()]
+    for kind, name, key, arr in slots:
+        if key not in blob:
+            raise ConfigurationError(f"checkpoint is missing {kind} {name!r}")
+        if blob[key].shape != arr.shape:
             raise ConfigurationError(
-                f"checkpoint parameter {name!r} has shape {blob[name].shape}, "
-                f"expected {model.params[name].shape}"
+                f"checkpoint {kind} {name!r} has shape {blob[key].shape}, expected {arr.shape}"
             )
-        model.params[name][...] = blob[name]
-    for name in model.buffers:
-        key = _BUFFER_PREFIX + name
-        if key in blob:
-            model.buffers[name][...] = blob[key]
-    scaler = None
-    if parser.has_section("preprocess") and parser["preprocess"].get("standardize") == "True":
-        pre = parser["preprocess"]
-        scaler = dt.Standardizer(
-            columns=pre["columns"].split(),
-            mean=np.array([float(v) for v in pre["mean"].split()]),
-            std=np.array([float(v) for v in pre["std"].split()]),
-        )
-    return model, scaler
+        arr[...] = blob[key]
+    unknown = sorted(set(blob) - {key for _, _, key, _ in slots})
+    if unknown:
+        raise FormatError(f"{params_path}: unknown entry {unknown[0]!r} for this model")
+    return model, _read_scaler(parser, ini)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +377,8 @@ def cmd_evaluate(args) -> int:
     target_cols = frame.columns_for("target")
     if scaler is not None:
         pred = scaler.invert(pred, target_cols)
-    truth = np.stack([raw_frame.values[s + cfg.lookback : s + cfg.lookback + cfg.horizon,
-                                       raw_frame.indices_for("target")]
-                      for s in windows.starts])
+    idx = raw_frame.indices_for("target")
+    truth = dt.window_view(raw_frame.values[cfg.lookback:, idx], 1, len(windows), cfg.horizon)
     mse = float(np.mean((pred - truth) ** 2))
     mae = tr.mae_metric(pred, truth)
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
@@ -383,7 +394,6 @@ def cmd_evaluate(args) -> int:
         fpred = _eval_forecasts(model, final)[0]
         if scaler is not None:
             fpred = scaler.invert(fpred, target_cols)
-        idx = raw_frame.indices_for("target")
         forecasts = {c: fpred[:, k] for k, c in enumerate(target_cols)}
         actuals = {c: raw_frame.values[last + cfg.lookback :, j]
                    for c, j in zip(target_cols, idx)}

@@ -11,6 +11,10 @@ lookback only), ``future`` (known over the horizon too), ``static``
     static   N x 1        x statics
     target   N x horizon  x targets
 
+These are read-only strided views onto a copy of each role's columns, so
+windowing costs one pass over the frame however much the windows
+overlap; indexing a batch with an index array makes the only full copy.
+
 Splits are chronological.  Windowing a split lets validation and test
 windows reach back across the partition boundary for lookback context —
 targets never cross a boundary, so no evaluated value leaks forward.
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, ParameterError, SchemaError
 from .rng import make_rng
@@ -73,7 +78,7 @@ class SeriesFrame:
         return [c for c in self.columns if self.roles[c] == role]
 
     def indices_for(self, role: str) -> list[int]:
-        return [self.columns.index(c) for c in self.columns_for(role)]
+        return [j for j, c in enumerate(self.columns) if self.roles[c] == role]
 
     def slice_rows(self, start: int, stop: int) -> "SeriesFrame":
         return SeriesFrame(self.values[start:stop].copy(), list(self.columns), dict(self.roles))
@@ -105,7 +110,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
     location named.
     """
     header: list[str] | None = None
-    rows: list[list[float]] = []
+    rows: list[list[str]] = []
+    line_nums: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -115,37 +121,54 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
                 header = [c.strip() for c in row]
                 continue
             if len(row) != len(header):
+                _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
                 raise DataError(
                     f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            parsed = []
-            for col, cell in zip(header, row):
-                text = cell.strip()
-                if not text:
-                    raise DataError(f"{path}: line {reader.line_num}: column {col!r} is empty")
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: column {col!r} has non-numeric "
-                        f"value {text!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: column {col!r} is not finite ({text})"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            rows.append(row)
+            line_nums.append(reader.line_num)
     if header is None:
         raise DataError(f"{path}: no header row found")
     if not rows:
         raise DataError(f"{path}: no data rows found")
+    # numpy converts str cells with Python's float(), whitespace included,
+    # so one bulk conversion accepts exactly the cells the per-cell parse
+    # does; that parse only runs to name the first bad cell.
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        values = _parse_cells(path, header, rows, line_nums)
     schema = dict(schema or {})
     unknown = set(schema) - set(header)
     if unknown:
         raise SchemaError(f"{path}: schema declares missing columns {sorted(unknown)}")
     roles = {col: schema.get(col, "target") for col in header}
-    return SeriesFrame(np.asarray(rows, dtype=np.float64), header, roles)
+    return SeriesFrame(values, header, roles)
+
+
+def _parse_cells(path, header: list[str], rows: list[list[str]],
+                 line_nums: list[int]) -> np.ndarray:
+    """Cell-by-cell parse that raises a DataError naming the first bad cell."""
+    parsed = []
+    for line, row in zip(line_nums, rows):
+        out = []
+        for col, cell in zip(header, row):
+            text = cell.strip()
+            if not text:
+                raise DataError(f"{path}: line {line}: column {col!r} is empty")
+            try:
+                value = float(text)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {line}: column {col!r} has non-numeric value {text!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataError(f"{path}: line {line}: column {col!r} is not finite ({text})")
+            out.append(value)
+        parsed.append(out)
+    return np.array(parsed, dtype=np.float64)
 
 
 def save_csv(frame: SeriesFrame, path, header_lines: tuple[str, ...] = ()) -> None:
@@ -172,23 +195,26 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, frame: SeriesFrame) -> SeriesFrame:
+        idx = _positions(self.columns, frame.columns, "standardizer column {!r} missing from frame")
         values = frame.values.copy()
-        for i, col in enumerate(self.columns):
-            if col not in frame.columns:
-                raise SchemaError(f"standardizer column {col!r} missing from frame")
-            j = frame.columns.index(col)
-            values[:, j] = (values[:, j] - self.mean[i]) / self.std[i]
+        values[:, idx] = (values[:, idx] - self.mean) / self.std
         return SeriesFrame(values, list(frame.columns), dict(frame.roles))
 
     def invert(self, values: np.ndarray, columns: list[str]) -> np.ndarray:
         """Map standardized values (..., len(columns)) back to raw units."""
-        out = np.asarray(values, dtype=np.float64).copy()
-        for k, col in enumerate(columns):
-            if col not in self.columns:
-                raise SchemaError(f"column {col!r} was not standardized")
-            i = self.columns.index(col)
-            out[..., k] = out[..., k] * self.std[i] + self.mean[i]
+        idx = _positions(columns, self.columns, "column {!r} was not standardized")
+        out = np.asarray(values, dtype=np.float64) * self.std[idx]
+        out += self.mean[idx]
         return out
+
+
+def _positions(names: list[str], within: list[str], missing: str) -> list[int]:
+    """Index of each of ``names`` in ``within``; SchemaError for the first absent one."""
+    where = {c: j for j, c in enumerate(within)}
+    for c in names:
+        if c not in where:
+            raise SchemaError(missing.format(c))
+    return [where[c] for c in names]
 
 
 def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame, Standardizer]:
@@ -262,7 +288,7 @@ class WindowSpec:
 
 @dataclass
 class WindowBatch:
-    """Aligned window arrays; empty batches keep their trailing shape."""
+    """Aligned, read-only window arrays; empty batches keep their trailing shape."""
 
     history: np.ndarray
     future: np.ndarray
@@ -278,33 +304,42 @@ class WindowBatch:
                            self.target[idx], self.starts[idx])
 
 
+def window_view(block: np.ndarray, stride: int, count: int, width: int) -> np.ndarray:
+    """Read-only (count x width x columns) view of ``block``: window k holds
+    rows [k*stride, k*stride + width)."""
+    if count == 0:
+        view = np.zeros((0, width, block.shape[1]))
+        view.setflags(write=False)
+        return view
+    windows = sliding_window_view(block, width, axis=0)
+    return windows[: (count - 1) * stride + 1 : stride].swapaxes(1, 2)
+
+
 def _windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> WindowBatch:
     """Windows whose target block lies inside rows [lo, hi); history may
     extend left of ``lo`` but not before row 0."""
     L, T, stride = spec.lookback, spec.horizon, spec.stride
-    hist_idx = frame.indices_for("target") + frame.indices_for("historical")
+    targ_idx = frame.indices_for("target")
+    hist_idx = targ_idx + frame.indices_for("historical")
     fut_idx = frame.indices_for("future")
     stat_idx = frame.indices_for("static")
-    targ_idx = frame.indices_for("target")
 
     first = max(lo - L, 0)
     starts = np.arange(first, hi - L - T + 1, stride, dtype=np.int64)
-    if starts.size == 0:
+    n = starts.size
+    if n == 0:
         warnings.warn(
             f"no windows fit: rows [{lo}, {hi}) cannot host lookback {L} + horizon {T}"
         )
-    history = np.stack([frame.values[s : s + L][:, hist_idx] for s in starts]) \
-        if starts.size else np.zeros((0, L, len(hist_idx)))
-    future = np.stack([frame.values[s + L : s + L + T][:, fut_idx] for s in starts]) \
-        if starts.size else np.zeros((0, T, len(fut_idx)))
-    target = np.stack([frame.values[s + L : s + L + T][:, targ_idx] for s in starts]) \
-        if starts.size else np.zeros((0, T, len(targ_idx)))
-    if starts.size:
-        static_row = frame.values[0, stat_idx][None, :]
-        static = np.tile(static_row, (starts.size, 1, 1))
-    else:
-        static = np.zeros((0, 1, len(stat_idx)))
-    return WindowBatch(history, future, static, target, starts)
+    rows = frame.values[first : first + (n - 1) * stride + L + T]  # the rows windows touch
+    static_row = rows[:1, stat_idx] if n else np.zeros((1, len(stat_idx)))
+    return WindowBatch(
+        history=window_view(rows[:, hist_idx], stride, n, L),
+        future=window_view(rows[L:, fut_idx], stride, n, T),
+        static=np.broadcast_to(static_row, (n, 1, len(stat_idx))),
+        target=window_view(rows[L:, targ_idx], stride, n, T),
+        starts=starts,
+    )
 
 
 def make_windows(frame: SeriesFrame, spec: WindowSpec) -> WindowBatch:

@@ -69,8 +69,10 @@ def load_params(path) -> dict[str, np.ndarray]:
             pos += 2
             name = blob[pos : pos + name_len].decode("utf-8")
             pos += name_len
-            rank = blob[pos]
+            (rank,) = struct.unpack_from("<B", blob, pos)
             pos += 1
+            if rank > _MAX_RANK:
+                raise FormatError(f"{path}: entry {name!r} has rank {rank} above {_MAX_RANK}")
             shape = struct.unpack_from(f"<{rank}I", blob, pos)
             pos += 4 * rank
             (offset,) = struct.unpack_from("<Q", blob, pos)
@@ -78,6 +80,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             entries.append((name, shape, offset))
     except struct.error as exc:
         raise FormatError(f"{path}: truncated container index") from exc
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: entry name at byte {pos} is not valid UTF-8") from None
     payload_start = pos
     out: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:

@@ -147,6 +147,15 @@ class Tape:
     def leaf_ids(self) -> tuple[int, ...]:
         return tuple(self._leaves)
 
+    def release(self) -> None:
+        """Drop the recorded closures once gradients are taken.
+
+        They hold the operands' Tensors, which point back at this tape, so
+        without this every pass is a reference cycle that only the cyclic
+        garbage collector frees.
+        """
+        self._parents.clear()
+
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

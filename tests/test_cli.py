@@ -13,6 +13,7 @@ from mixcast import __version__
 from mixcast import cli
 from mixcast import data as dt
 from mixcast import models as md
+from mixcast.params_io import load_params, save_params
 
 
 def run_cli(*argv):
@@ -188,6 +189,64 @@ def test_checkpoint_missing_model_ini(workdir, capsys):
     assert run_cli("evaluate", "--checkpoint", str(workdir / "nope"),
                    "--csv", "x.csv") == 1
     assert "model.ini" in capsys.readouterr().err
+
+
+def broken_checkpoint(workdir, case):
+    """A small batch2d checkpoint with one defect, plus a CSV to evaluate."""
+    cfg = md.ModelConfig(family="tsmixer", lookback=14, horizon=7, targets=2,
+                         hidden=4, blocks=1, norm="batch2d")
+    model = md.Forecaster(cfg, seed=1)
+    ckpt = workdir / "ckpt"
+    ckpt.mkdir()
+    scaler = dt.Standardizer(["y0", "y1"], np.array([0.5, -0.5]), np.array([2.0, 3.0]))
+    cli.save_checkpoint(ckpt, model, scaler, seed=1)
+    ini, params = ckpt / "model.ini", ckpt / "params.bin"
+    if case == "missing_key":
+        ini.write_text("".join(line for line in ini.read_text().splitlines(keepends=True)
+                               if not line.startswith("hidden ")))
+    elif case == "non_numeric_key":
+        ini.write_text(ini.read_text().replace("lookback = 14", "lookback = fourteen"))
+    elif case == "short_mean":
+        ini.write_text(ini.read_text().replace("mean = 0.5 -0.5", "mean = 0.5"))
+    elif case == "not_ini":
+        ini.write_text("lookback = 14\n")
+    elif case in ("bad_utf8_name", "rank_above_3"):
+        blob = bytearray(params.read_bytes())
+        name_len = int.from_bytes(blob[12:14], "little")  # of the first entry
+        if case == "bad_utf8_name":
+            blob[14] = 0xFF
+        else:
+            blob[14 + name_len] = 4
+        params.write_bytes(bytes(blob))
+    elif case == "no_running_stats":
+        save_params(params, model.params)
+    elif case == "unknown_entry":
+        save_params(params, {**load_params(params), "stray": np.zeros(2)})
+    write_series(workdir / "series.csv", steps=60)
+    return ckpt
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing_key", "missing key 'hidden'"),
+    ("non_numeric_key", "model.lookback must be an integer"),
+    ("short_mean", "preprocess.mean has 1 values for 2 columns"),
+    ("not_ini", "not a valid INI file: File contains no section headers."),
+    ("bad_utf8_name", "not valid UTF-8"),
+    ("rank_above_3", "rank 4 above 3"),
+    ("no_running_stats", "missing buffer 'block0.time_norm.mean'"),
+    ("unknown_entry", "unknown entry 'stray'"),
+])
+def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
+    ckpt = broken_checkpoint(workdir, case)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+def test_unmodified_checkpoint_fixture_evaluates(workdir):
+    ckpt = broken_checkpoint(workdir, "none")
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 0
 
 
 # ---------------------------------------------------------------------------

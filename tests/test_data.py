@@ -1,5 +1,7 @@
 """CSV ingest, scaling, windowing, splits, and synthetic generators."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,97 @@ class TestLoadCsv:
             dt.load_schema(bad)
 
 
+def per_cell_values(path):
+    """The cell-by-cell parse load_csv used before its bulk conversion,
+    kept as the oracle for values and for DataError text."""
+    header, rows = None, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or (row[0].lstrip().startswith("#")):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                continue
+            if len(row) != len(header):
+                raise errors.DataError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            parsed = []
+            for col, cell in zip(header, row):
+                text = cell.strip()
+                if not text:
+                    raise errors.DataError(f"{path}: line {reader.line_num}: column {col!r} is empty")
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise errors.DataError(
+                        f"{path}: line {reader.line_num}: column {col!r} has non-numeric "
+                        f"value {text!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise errors.DataError(
+                        f"{path}: line {reader.line_num}: column {col!r} is not finite ({text})"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def outcome(fn, path):
+    """("ok", raw bytes of the values) or ("error", message)."""
+    try:
+        values = fn(path)
+    except errors.DataError as exc:
+        return "error", str(exc)
+    return "ok", np.ascontiguousarray(values).tobytes()
+
+
+class TestCsvParity:
+    @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "+.5", "\u0661\u0662", "-0", "1e-400",
+                                      "\t7\t", "1E3", "-2.5e-3", "4."])
+    def test_accepted_edge_cells(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b\n0.25,{cell}\n{cell},-1\n")
+        assert outcome(lambda p: dt.load_csv(p).values, path) == outcome(per_cell_values, path)
+        assert outcome(per_cell_values, path)[0] == "ok"
+
+    def test_random_literals_bitwise(self, tmp_path):
+        rng = make_rng(30)
+        values = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, size=(40, 7))
+        values[0, 0] = -0.0
+        lines = ["a,b,c,d,e,f,g"] + [",".join(repr(float(v)) for v in row) for row in values]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        frame = dt.load_csv(path)
+        assert frame.values.tobytes() == values.tobytes()
+        assert frame.values.tobytes() == per_cell_values(path).tobytes()
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = write(tmp_path, 'a,"b,c"\n"1.5"," 2 "\n"-3e2",4\n')
+        frame = dt.load_csv(path)
+        assert frame.columns == ["a", "b,c"]
+        assert frame.values.tobytes() == per_cell_values(path).tobytes()
+        np.testing.assert_array_equal(frame.values, [[1.5, 2.0], [-300.0, 4.0]])
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1.0,\n",                      # empty cell
+        "a,b\n1.0,  \n",                    # blank cell
+        "a,b\n1.0,2.0\n3.0,oops\n",          # non-numeric cell
+        "a,b\n0x10,2.0\n",                  # hex is not a float literal
+        "a,b\n1.0,nan\n",
+        "a,b\n1.0,-inf\n",
+        "a,b\n1e400,2.0\n",                 # overflows to inf
+        "# note\na,b\n1.0,2.0\n3.0\n",       # ragged row
+        "a,b\n1.0,bad\n3.0\n",               # bad cell before a ragged row
+        "a,b\n1.0,2.0,3.0\n4.0,x\n",         # ragged row before a bad cell
+        "a,b\n1.0,\"2\n3\"\n",                 # quoted cell spanning two lines
+    ])
+    def test_identical_errors(self, tmp_path, text):
+        path = write(tmp_path, text)
+        expected = outcome(per_cell_values, path)
+        assert expected[0] == "error"
+        assert outcome(lambda p: dt.load_csv(p).values, path) == expected
+
+
 class TestStandardize:
     def frame(self, steps=100, seed=2):
         values = make_rng(seed).normal(loc=5.0, scale=3.0, size=(steps, 2))
@@ -105,6 +198,24 @@ class TestStandardize:
         out, scaler = dt.global_standardize(frame, 8)
         np.testing.assert_array_equal(out.values[:, 1], values[:, 1])
         assert scaler.columns == ["a"]
+
+    def test_apply_and_invert_match_per_column_loop(self):
+        frame = interleaved_frame(30)
+        out, scaler = dt.global_standardize(frame, 20)
+        want = frame.values.copy()
+        for i, col in enumerate(scaler.columns):
+            j = frame.columns.index(col)
+            want[:, j] = (want[:, j] - scaler.mean[i]) / scaler.std[i]
+        assert out.values.tobytes() == want.tobytes()
+        cols = ["y2", "z0", "y0"]
+        forecast = make_rng(13).normal(size=(4, 5, len(cols)))
+        back = forecast.copy()
+        for k, col in enumerate(cols):
+            i = scaler.columns.index(col)
+            back[..., k] = back[..., k] * scaler.std[i] + scaler.mean[i]
+        assert scaler.invert(forecast, cols).tobytes() == back.tobytes()
+        with pytest.raises(errors.SchemaError, match="'s0' was not standardized"):
+            scaler.invert(forecast, ["y2", "s0", "y0"])
 
     def test_invert_roundtrip(self):
         frame = self.frame()
@@ -173,6 +284,95 @@ class TestWindows:
     def test_spec_validation(self):
         with pytest.raises(errors.ConfigurationError, match="stride"):
             dt.make_windows(self.frame(20), dt.WindowSpec(4, 2, stride=0))
+
+
+def stacked_windows(frame, spec, lo, hi):
+    """The np.stack construction windowing used before strided views,
+    kept as the oracle."""
+    L, T, stride = spec.lookback, spec.horizon, spec.stride
+    cols = {role: [frame.columns.index(c) for c in frame.columns_for(role)]
+            for role in dt.ROLES}
+    hist_idx = cols["target"] + cols["historical"]
+    starts = np.arange(max(lo - L, 0), hi - L - T + 1, stride, dtype=np.int64)
+    if not starts.size:
+        return (np.zeros((0, L, len(hist_idx))), np.zeros((0, T, len(cols["future"]))),
+                np.zeros((0, 1, len(cols["static"]))), np.zeros((0, T, len(cols["target"]))),
+                starts)
+    history = np.stack([frame.values[s : s + L][:, hist_idx] for s in starts])
+    future = np.stack([frame.values[s + L : s + L + T][:, cols["future"]] for s in starts])
+    target = np.stack([frame.values[s + L : s + L + T][:, cols["target"]] for s in starts])
+    static = np.tile(frame.values[0, cols["static"]][None, :], (starts.size, 1, 1))
+    return history, future, static, target, starts
+
+
+def interleaved_frame(steps, seed=12):
+    """Roles interleaved so no role's columns are contiguous."""
+    rng = make_rng(seed)
+    names = ["z0", "y0", "h0", "s0", "y1", "z1", "h1", "y2", "s1"]
+    roles = {"z0": "future", "y0": "target", "h0": "historical", "s0": "static",
+             "y1": "target", "z1": "future", "h1": "historical", "y2": "target",
+             "s1": "static"}
+    values = rng.normal(size=(steps, len(names)))
+    values[:, 3] = -1.25
+    values[:, 8] = 6.5
+    return dt.SeriesFrame(values, names, roles)
+
+
+FIELDS = ("history", "future", "static", "target", "starts")
+
+
+def assert_batch_matches(batch, oracle):
+    for name, want in zip(FIELDS, oracle):
+        got = getattr(batch, name)
+        assert got.shape == want.shape, name
+        assert got.dtype == want.dtype, name
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+
+
+class TestWindowParity:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_make_windows_bitwise(self, stride):
+        frame = interleaved_frame(61)
+        spec = dt.WindowSpec(9, 5, stride)
+        assert_batch_matches(dt.make_windows(frame, spec),
+                             stacked_windows(frame, spec, 0, frame.n_steps))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_split_windows_boundary_context_bitwise(self, stride):
+        frame = interleaved_frame(120)
+        spec = dt.WindowSpec(10, 4, stride)
+        for split in (dt.DEFAULT_SPLIT, dt.SplitSpec(ranges=((0, 50), (53, 90), (90, 117)))):
+            batches = dt.split_windows(frame, split, spec)
+            for batch, (lo, hi) in zip(batches, split.bounds(frame.n_steps)):
+                assert_batch_matches(batch, stacked_windows(frame, spec, lo, hi))
+            assert batches[1].starts[0] < split.bounds(frame.n_steps)[1][0]
+
+    def test_subset_matches_oracle(self):
+        frame = interleaved_frame(50)
+        spec = dt.WindowSpec(8, 3, 2)
+        history, future, static, target, starts = stacked_windows(frame, spec, 0, 50)
+        idx = np.array([4, 0, 7, 7, 2])
+        assert_batch_matches(dt.make_windows(frame, spec).subset(idx),
+                             (history[idx], future[idx], static[idx], target[idx], starts[idx]))
+
+    @pytest.mark.parametrize("steps", [0, 5, 13])
+    def test_empty_batch_shapes(self, steps):
+        frame = interleaved_frame(40).slice_rows(0, steps)
+        spec = dt.WindowSpec(9, 5, 3)
+        with pytest.warns(UserWarning, match="no windows"):
+            batch = dt.make_windows(frame, spec)
+        assert_batch_matches(batch, stacked_windows(frame, spec, 0, steps))
+        assert [getattr(batch, f).shape for f in FIELDS[:4]] == \
+               [(0, 9, 5), (0, 5, 2), (0, 1, 2), (0, 5, 3)]
+
+    def test_windows_are_read_only(self):
+        frame = interleaved_frame(30)
+        batch = dt.make_windows(frame, dt.WindowSpec(6, 3))
+        before = frame.values.copy()
+        for name in ("history", "future", "target"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(batch, name)[0, 0, 0] = 99.0
+        np.testing.assert_array_equal(frame.values, before)
 
 
 class TestSplit:

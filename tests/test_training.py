@@ -1,5 +1,7 @@
 """Losses, optimizer, and the training loop."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -209,3 +211,19 @@ class TestTrainLoop:
         tcfg = tr.TrainConfig(objective="nb_nll")
         with pytest.raises(errors.ConfigurationError, match="nb_nll"):
             tr.train(model, train_w, val_w, tcfg)
+
+    def test_steps_free_their_tapes_without_cyclic_gc(self):
+        train_w, val_w, _ = periodic_windows()
+        cfg = md.ModelConfig(family="tsmixer", lookback=12, horizon=4, targets=1,
+                             hidden=4, blocks=1, norm="batch2d", dropout=0.2)
+        model = md.Forecaster(cfg, seed=14)
+        tcfg = tr.TrainConfig(learning_rate=0.005, max_epochs=2, patience=5,
+                              batch_size=32, seed=15)
+        gc.collect()
+        gc.disable()
+        try:
+            tr.train(model, train_w, val_w, tcfg)
+            alive = sum(isinstance(o, tc.Tape) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
