@@ -80,7 +80,7 @@ class Experiment:
     standardize: bool
     split: dt.SplitSpec
     window: dt.WindowSpec
-    model: dict  # family + hyperparameters; channel counts come from the data
+    model: dict  # typed ModelConfig fields of [model]; channel counts come from the data
     train: tr.TrainConfig
     resolved: dict[str, dict[str, str]]  # for the config snapshot
 
@@ -167,11 +167,6 @@ def load_experiment(path: Path | None, out_override: str | None = None) -> Exper
         seed=seed,
     )
     train_cfg.validate()
-    model = dict(raw["model"])
-    model["hidden"] = _parse_int(model["hidden"], "model.hidden")
-    model["blocks"] = _parse_int(model["blocks"], "model.blocks")
-    model["dropout"] = _parse_float(model["dropout"], "model.dropout")
-    model["rev_in"] = _parse_bool(model["rev_in"], "model.rev_in")
     return Experiment(
         seed=seed,
         out=Path(raw["run"]["out"]),
@@ -180,7 +175,7 @@ def load_experiment(path: Path | None, out_override: str | None = None) -> Exper
         standardize=_parse_bool(raw["data"]["standardize"], "data.standardize"),
         split=_parse_split(raw["split"]),
         window=window,
-        model=model,
+        model=_parse_model(raw["model"], "", lambda value, where: value.strip()),
         train=train_cfg,
         resolved=raw,
     )
@@ -197,33 +192,23 @@ def _config_text(raw: dict[str, dict[str, str]], seed: int) -> str:
 
 
 def _model_config_for(frame: dt.SeriesFrame, exp: Experiment) -> md.ModelConfig:
-    cfg = md.ModelConfig(
-        family=exp.model["family"].strip(),
-        lookback=exp.window.lookback,
-        horizon=exp.window.horizon,
-        targets=len(frame.columns_for("target")),
-        hist_covariates=len(frame.columns_for("historical")),
-        future_covariates=len(frame.columns_for("future")),
-        static_features=len(frame.columns_for("static")),
-        hidden=exp.model["hidden"],
-        blocks=exp.model["blocks"],
-        dropout=exp.model["dropout"],
-        norm=exp.model["norm"].strip(),
-        norm_placement=exp.model["norm_placement"].strip(),
-        batch_stats=exp.model["batch_stats"].strip(),
-        head=exp.model["head"].strip(),
-        rev_in=exp.model["rev_in"],
-    )
-    cfg.validate()
-    return cfg
+    return md.ModelConfig(**exp.model, lookback=exp.window.lookback, horizon=exp.window.horizon,
+                          targets=len(frame.columns_for("target")),
+                          hist_covariates=len(frame.columns_for("historical")),
+                          future_covariates=len(frame.columns_for("future")),
+                          static_features=len(frame.columns_for("static")))
+
+
+def _parse_model(raw: dict[str, str], where: str, parse_str) -> dict:
+    """``[model]`` values parsed by their ModelConfig field types; ``parse_str``
+    reads the ``str`` fields."""
+    parsers = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": parse_str}
+    types = {f.name: f.type for f in fields(md.ModelConfig)}
+    return {key: parsers[types[key]](value, f"{where}model.{key}") for key, value in raw.items()}
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-
-_FIELD_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
-                  "str": lambda raw, where: raw.strip("'\"")}
 
 
 def save_checkpoint(out: Path, model: md.Forecaster, scaler: dt.Standardizer | None,
@@ -262,9 +247,13 @@ def _read_section(parser: configparser.ConfigParser, ini: Path, section: str,
 
 
 def _read_scaler(parser: configparser.ConfigParser, ini: Path) -> dt.Standardizer | None:
-    if not parser.has_section("preprocess") or parser["preprocess"].get("standardize") != "True":
+    # A missing section or flag is named by _read_section.
+    standardize = not parser.has_option("preprocess", "standardize") or _parse_bool(
+        parser["preprocess"]["standardize"], f"{ini}: preprocess.standardize")
+    keys = ["standardize", "columns", "mean", "std"] if standardize else ["standardize"]
+    pre = _read_section(parser, ini, "preprocess", keys)
+    if not standardize:
         return None
-    pre = _read_section(parser, ini, "preprocess", ["standardize", "columns", "mean", "std"])
     columns = pre["columns"].split()
     stats = {key: np.array([_parse_float(v, f"{ini}: preprocess.{key}") for v in pre[key].split()])
              for key in ("mean", "std")}
@@ -288,10 +277,8 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
     except (configparser.Error, UnicodeDecodeError) as exc:
         reason = str(exc).splitlines()[0]
         raise ConfigurationError(f"{ini} is not a valid INI file: {reason}") from None
-    model_fields = fields(md.ModelConfig)
-    raw = _read_section(parser, ini, "model", [f.name for f in model_fields])
-    cfg = md.ModelConfig(**{f.name: _FIELD_PARSERS[f.type](raw[f.name], f"{ini}: model.{f.name}")
-                            for f in model_fields})
+    raw = _read_section(parser, ini, "model", [f.name for f in fields(md.ModelConfig)])
+    cfg = md.ModelConfig(**_parse_model(raw, f"{ini}: ", lambda value, where: value.strip("'\"")))
     model = md.Forecaster(cfg, seed=0)
     params_path = ini.parent / "params.bin"
     blob = load_params(params_path)

@@ -26,8 +26,7 @@ from __future__ import annotations
 import configparser
 import csv
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -240,35 +239,6 @@ def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame
     return scaler.apply(frame), scaler
 
 
-def mean_scale_local(history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each window's channels by their per-window mean level.
-
-    Windows whose mean is not strictly positive keep scale 1 (with a
-    warning), so the transform is always invertible.  Returns the scaled
-    copy and the scales, shaped (windows, 1, channels).
-    """
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 3:
-        raise ParameterError(f"mean_scale_local expects windows x steps x channels, got {history.shape}")
-    scales = history.mean(axis=1, keepdims=True)
-    bad = scales <= 0.0
-    if np.any(bad):
-        warnings.warn(f"{int(bad.sum())} window channel(s) have non-positive mean level; "
-                      "left unscaled")
-        scales = np.where(bad, 1.0, scales)
-    return history / scales, scales
-
-
-def rescale_forecast(values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Undo :func:`mean_scale_local` on aligned forecast values."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != scales.shape[0] or values.shape[-1] != scales.shape[-1]:
-        raise ParameterError(
-            f"forecast shape {values.shape} does not align with scales {scales.shape}"
-        )
-    return values * scales
-
-
 # ---------------------------------------------------------------------------
 # windowing and splits
 
@@ -294,7 +264,7 @@ class WindowBatch:
     future: np.ndarray
     static: np.ndarray
     target: np.ndarray
-    starts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    starts: np.ndarray
 
     def __len__(self) -> int:
         return self.history.shape[0]
@@ -389,12 +359,6 @@ class SplitSpec:
 
 
 DEFAULT_SPLIT = SplitSpec(fractions=(0.7, 0.2, 0.1))
-
-
-def split(frame: SeriesFrame, spec: SplitSpec = DEFAULT_SPLIT) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Cut a frame into chronological train/val/test frames."""
-    b = spec.bounds(frame.n_steps)
-    return tuple(frame.slice_rows(lo, hi) for lo, hi in b)
 
 
 def split_windows(frame: SeriesFrame, split_spec: SplitSpec,

@@ -119,21 +119,21 @@ class NormParams:
     shift: Tensor
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
-    momentum: float = 0.1
     per_feature: bool = False
 
-    @staticmethod
-    def stat_shape(cols: int, per_feature: bool) -> tuple[int, ...]:
-        return (cols,) if per_feature else ()
+
+# Weight of the newest batch statistics in the running copies.
+MOMENTUM = 0.1
 
 
 def norm_stats_init(cols: int, per_feature: bool) -> tuple[np.ndarray, np.ndarray]:
-    shape = NormParams.stat_shape(cols, per_feature)
+    shape = (cols,) if per_feature else ()
     return np.zeros(shape), np.ones(shape)
 
 
-def _standardize(x: Tensor, m, v) -> Tensor:
-    return tc.div(tc.sub(x, m), tc.sqrt(tc.clip_min(v, VAR_FLOOR)))
+def _standardize(d: Tensor, v) -> Tensor:
+    """Centered values ``d`` over their deviation, floored at VAR_FLOOR."""
+    return tc.div(d, tc.sqrt(tc.clip_min(v, VAR_FLOOR)))
 
 
 def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
@@ -155,34 +155,27 @@ def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
             f"norm2d: affine shape {scale.shape} does not match input shape {x.shape}"
         )
 
+    batch = norm.kind == "batch2d"
+    if batch and (norm.running_mean is None or norm.running_var is None):
+        raise ConfigurationError("norm2d: batch2d requires running statistics")
     if norm.kind == "identity":
         xn = x
-    elif norm.kind == "layer":
-        m = tc.mean(x, axis=(-2, -1), keepdims=True)
+    elif batch and mode == "eval":
+        xn = _standardize(tc.sub(x, Tensor(norm.running_mean)), Tensor(norm.running_var))
+    else:  # statistics of this input: per sample (layer) or per batch
+        if batch and (x.ndim != 3 or x.shape[0] < 2):
+            raise ConfigurationError(
+                "norm2d: batch2d training statistics need a batch of >= 2 samples; "
+                f"got input shape {x.shape} (use kind='layer' for single samples)"
+            )
+        axes = ((0, 1) if norm.per_feature else (0, 1, 2)) if batch else (-2, -1)
+        m = tc.mean(x, axis=axes, keepdims=True)
         d = tc.sub(x, m)
-        v = tc.mean(tc.mul(d, d), axis=(-2, -1), keepdims=True)
-        xn = tc.div(d, tc.sqrt(tc.clip_min(v, VAR_FLOOR)))
-    else:  # batch2d
-        if norm.running_mean is None or norm.running_var is None:
-            raise ConfigurationError("norm2d: batch2d requires running statistics")
-        if mode == "train":
-            if x.ndim != 3 or x.shape[0] < 2:
-                raise ConfigurationError(
-                    "norm2d: batch2d training statistics need a batch of >= 2 samples; "
-                    f"got input shape {x.shape} (use kind='layer' for single samples)"
-                )
-            axes = (0, 1) if norm.per_feature else (0, 1, 2)
-            m = tc.mean(x, axis=axes, keepdims=True)
-            d = tc.sub(x, m)
-            v = tc.mean(tc.mul(d, d), axis=axes, keepdims=True)
-            xn = tc.div(d, tc.sqrt(tc.clip_min(v, VAR_FLOOR)))
-            # Running copies blend detached batch statistics.
-            stat_shape = norm.running_mean.shape
-            mom = norm.momentum
-            norm.running_mean[...] = (1.0 - mom) * norm.running_mean + mom * m.data.reshape(stat_shape)
-            norm.running_var[...] = (1.0 - mom) * norm.running_var + mom * v.data.reshape(stat_shape)
-        else:
-            xn = _standardize(x, Tensor(norm.running_mean), Tensor(norm.running_var))
+        v = tc.mean(tc.mul(d, d), axis=axes, keepdims=True)
+        xn = _standardize(d, v)
+        if batch:  # running copies blend detached batch statistics
+            for run, stat in ((norm.running_mean, m), (norm.running_var, v)):
+                run[...] = (1.0 - MOMENTUM) * run + MOMENTUM * stat.data.reshape(run.shape)
     return tc.add(tc.mul(xn, scale), shift)
 
 
@@ -327,16 +320,20 @@ def conditional_feature_mixing(x, static, p: CondFeatureMixParams, rate: float =
 
 @dataclass
 class MixerLayerParams:
+    """Time mixing, then feature mixing unless ``feat`` is absent."""
+
     time: LinearParams
     time_norm: NormParams
-    feat: FeatureMixParams
-    feat_norm: NormParams
+    feat: FeatureMixParams | None = None
+    feat_norm: NormParams | None = None
 
 
 def mixer_layer(x, p: MixerLayerParams, rate: float = 0.0, mode: str = "eval",
                 rng=None, placement: str = "post") -> Tensor:
-    """Time mixing followed by feature mixing."""
+    """Time mixing followed by feature mixing (time mixing only without ``feat``)."""
     h = time_mixing(x, p.time, p.time_norm, rate, mode, rng, placement)
+    if p.feat is None:
+        return h
     return feature_mixing(h, p.feat, p.feat_norm, rate, mode, rng, placement)
 
 

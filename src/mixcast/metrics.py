@@ -107,15 +107,6 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
     return float(np.mean(list(per_level.values()))), per_level
 
 
-def revenue_weights(groups: dict[str, list[str]], revenue: dict[str, float]) -> dict[str, float]:
-    """Competition-style weights: an aggregate's share of total revenue."""
-    totals = {agg: sum(revenue[m] for m in members) for agg, members in groups.items()}
-    grand = sum(totals.values())
-    if grand <= 0:
-        raise MetricError("revenue_weights: total revenue must be positive")
-    return {agg: t / grand for agg, t in totals.items()}
-
-
 def load_hierarchy(path) -> HierarchySpec:
     """Read a hierarchy spec from JSON: {"levels": [{name, groups, weights}]}."""
     try:

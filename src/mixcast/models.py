@@ -12,9 +12,11 @@ Four families share one interface:
                     per-step linear head (point or negative-binomial).
 
 A ``Forecaster`` owns a flat name -> array parameter dict plus running
-normalization statistics; ``forward`` assembles layer structs from those
-arrays (or from tape-bound leaves during training) so the same code path
-serves inference and differentiation.
+normalization statistics.  Each family is described once, by the layer
+walk ``Forecaster._layers``: construction runs it to create the arrays,
+and ``forward`` runs it to assemble layer structs from those arrays (or
+from tape-bound leaves during training), so the same code path serves
+inference and differentiation.
 
 Also here: closed-form weight constructions that solve periodic and
 affine-periodic signals exactly and track periodic signals under a
@@ -211,78 +213,81 @@ class Forecaster:
         self.config = config
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
-        self._build(make_rng(seed, STREAM_INIT))
+        self._layers(self.params, make_rng(seed, STREAM_INIT))
 
-    # -- construction ------------------------------------------------------
+    # -- the architecture --------------------------------------------------
 
-    def _add_linear(self, name: str, out_dim: int, in_dim: int, rng) -> None:
-        w, b = ly.linear_init(out_dim, in_dim, rng)
-        self.params[f"{name}.weight"] = w
-        self.params[f"{name}.bias"] = b
+    def _layers(self, P: dict, rng=None) -> dict:
+        """The layer structs of this configuration, read from ``P`` by name.
 
-    def _add_norm(self, name: str, rows: int, cols: int) -> None:
-        self.params[f"{name}.scale"] = np.ones((rows, cols))
-        self.params[f"{name}.shift"] = np.zeros((rows, cols))
-        if self.config.norm == "batch2d":
-            per_feature = self.config.batch_stats == "per_feature"
-            rm, rv = ly.norm_stats_init(cols, per_feature)
-            self.buffers[f"{name}.mean"] = rm
-            self.buffers[f"{name}.var"] = rv
-
-    def _add_fm(self, name: str, in_dim: int, out_dim: int, rng) -> None:
-        h = self.config.hidden
-        self._add_linear(f"{name}.hidden", h, in_dim, rng)
-        self._add_linear(f"{name}.out", out_dim, h, rng)
-        if out_dim != in_dim:
-            self._add_linear(f"{name}.residual", out_dim, in_dim, rng)
-
-    def _add_cfm(self, name: str, in_dim: int, rows: int, rng) -> None:
+        A parameter missing from ``P`` (or a running statistic missing from
+        ``buffers``) is created on the spot, drawing from ``rng``.  Only
+        construction meets missing names, so this walk order is the
+        initialization order and the parameter order.  ``linear`` is the
+        mixer stack with no blocks.
+        """
         cfg = self.config
-        h = cfg.hidden
-        joint_in = in_dim
-        if cfg.static_features:
-            self._add_fm(f"{name}.static", cfg.static_features, h, rng)
-            self._add_norm(f"{name}.static_norm", rows, h)
-            joint_in += h
-        self._add_fm(f"{name}.joint", joint_in, h, rng)
-        self._add_norm(f"{name}.joint_norm", rows, h)
+        L, T, C, H = cfg.lookback, cfg.horizon, cfg.targets, cfg.hidden
+        per_feature = cfg.batch_stats == "per_feature"
 
-    def _build(self, rng) -> None:
-        cfg = self.config
-        L, T, C = cfg.lookback, cfg.horizon, cfg.targets
-        if cfg.family == "linear":
-            self._add_linear("proj", T, L, rng)
-            return
-        if cfg.family == "tmix_only":
-            for k in range(cfg.blocks):
-                self._add_linear(f"block{k}.time", L, L, rng)
-                self._add_norm(f"block{k}.time_norm", L, C)
-            self._add_linear("proj", T, L, rng)
-            return
-        if cfg.family == "tsmixer":
-            for k in range(cfg.blocks):
-                self._add_linear(f"block{k}.time", L, L, rng)
-                self._add_norm(f"block{k}.time_norm", L, C)
-                self._add_fm(f"block{k}.feat", C, C, rng)
-                self._add_norm(f"block{k}.feat_norm", L, C)
-            self._add_linear("proj", T, L, rng)
-            return
-        # tsmixer_ext
-        H = cfg.hidden
-        self._add_linear("align_time", T, L, rng)
-        self._add_cfm("hist", cfg.input_channels, T, rng)
-        width = H
-        if cfg.future_covariates:
-            self._add_cfm("future", cfg.future_covariates, T, rng)
-            width = 2 * H
-        for k in range(cfg.blocks):
-            self._add_linear(f"block{k}.time", T, T, rng)
-            self._add_norm(f"block{k}.time_norm", T, width)
-            self._add_cfm(f"block{k}.cfm", width, T, rng)
-            width = H
-        self._add_linear("head", C, H, rng)
-        if cfg.head == "negative_binomial":
-            self._add_linear("dispersion", C, H, rng)
+        def linear(name: str, out_dim: int, in_dim: int) -> ly.LinearParams:
+            if f"{name}.weight" not in P:
+                P[f"{name}.weight"], P[f"{name}.bias"] = ly.linear_init(out_dim, in_dim, rng)
+            return ly.LinearParams(P[f"{name}.weight"], P[f"{name}.bias"])
+
+        def norm(name: str, rows: int, cols: int) -> ly.NormParams:
+            if f"{name}.scale" not in P:
+                P[f"{name}.scale"] = np.ones((rows, cols))
+                P[f"{name}.shift"] = np.zeros((rows, cols))
+            if cfg.norm == "batch2d" and f"{name}.mean" not in self.buffers:
+                self.buffers[f"{name}.mean"], self.buffers[f"{name}.var"] = (
+                    ly.norm_stats_init(cols, per_feature))
+            return ly.NormParams(cfg.norm, P[f"{name}.scale"], P[f"{name}.shift"],
+                                 running_mean=self.buffers.get(f"{name}.mean"),
+                                 running_var=self.buffers.get(f"{name}.var"),
+                                 per_feature=per_feature)
+
+        def fm(name: str, in_dim: int, out_dim: int) -> ly.FeatureMixParams:
+            return ly.FeatureMixParams(
+                hidden=linear(f"{name}.hidden", H, in_dim),
+                out=linear(f"{name}.out", out_dim, H),
+                residual=linear(f"{name}.residual", out_dim, in_dim) if out_dim != in_dim else None,
+            )
+
+        def cfm(name: str, in_dim: int) -> ly.CondFeatureMixParams:
+            static_mix = static_norm = None
+            if cfg.static_features:
+                static_mix = fm(f"{name}.static", cfg.static_features, H)
+                static_norm = norm(f"{name}.static_norm", T, H)
+                in_dim += H
+            return ly.CondFeatureMixParams(joint=fm(f"{name}.joint", in_dim, H),
+                                           joint_norm=norm(f"{name}.joint_norm", T, H),
+                                           static_mix=static_mix, static_norm=static_norm)
+
+        if cfg.family != "tsmixer_ext":
+            feat = cfg.family == "tsmixer"
+            blocks = [] if cfg.family == "linear" else [
+                ly.MixerLayerParams(
+                    time=linear(f"block{k}.time", L, L),
+                    time_norm=norm(f"block{k}.time_norm", L, C),
+                    feat=fm(f"block{k}.feat", C, C) if feat else None,
+                    feat_norm=norm(f"block{k}.feat_norm", L, C) if feat else None,
+                )
+                for k in range(cfg.blocks)]
+            return {"blocks": blocks, "proj": linear("proj", T, L)}
+
+        widths = [2 * H if cfg.future_covariates else H] + [H] * (cfg.blocks - 1)
+        return {  # evaluated in order, so this is also the tsmixer_ext walk order
+            "align_time": linear("align_time", T, L),
+            "hist": cfm("hist", cfg.input_channels),
+            "future": cfm("future", cfg.future_covariates) if cfg.future_covariates else None,
+            "blocks": [ly.CondMixerLayerParams(time=linear(f"block{k}.time", T, T),
+                                               time_norm=norm(f"block{k}.time_norm", T, width),
+                                               cfm=cfm(f"block{k}.cfm", width))
+                       for k, width in enumerate(widths)],
+            "head": linear("head", C, H),
+            "dispersion": linear("dispersion", C, H) if cfg.head == "negative_binomial" else None,
+        }
 
     # -- assembly ----------------------------------------------------------
 
@@ -297,39 +302,6 @@ class Forecaster:
         if missing:
             raise ConfigurationError(f"forward: missing parameters {sorted(missing)[:3]}...")
         return params
-
-    def _linear(self, P, name) -> ly.LinearParams:
-        return ly.LinearParams(P[f"{name}.weight"], P[f"{name}.bias"])
-
-    def _norm(self, P, name) -> ly.NormParams:
-        cfg = self.config
-        return ly.NormParams(
-            kind=cfg.norm,
-            scale=P[f"{name}.scale"],
-            shift=P[f"{name}.shift"],
-            running_mean=self.buffers.get(f"{name}.mean"),
-            running_var=self.buffers.get(f"{name}.var"),
-            per_feature=cfg.batch_stats == "per_feature",
-        )
-
-    def _fm(self, P, name) -> ly.FeatureMixParams:
-        residual = None
-        if f"{name}.residual.weight" in self.params:
-            residual = self._linear(P, f"{name}.residual")
-        return ly.FeatureMixParams(
-            hidden=self._linear(P, f"{name}.hidden"),
-            out=self._linear(P, f"{name}.out"),
-            residual=residual,
-        )
-
-    def _cfm(self, P, name) -> ly.CondFeatureMixParams:
-        has_static = self.config.static_features > 0
-        return ly.CondFeatureMixParams(
-            joint=self._fm(P, f"{name}.joint"),
-            joint_norm=self._norm(P, f"{name}.joint_norm"),
-            static_mix=self._fm(P, f"{name}.static") if has_static else None,
-            static_norm=self._norm(P, f"{name}.static_norm") if has_static else None,
-        )
 
     # -- forward -----------------------------------------------------------
 
@@ -382,42 +354,28 @@ class Forecaster:
         else:
             x = Tensor(hist)
 
-        if cfg.family == "linear":
-            out = ly.temporal_projection(x, self._linear(P, "proj"))
-        elif cfg.family in ("tmix_only", "tsmixer"):
+        layers = self._layers(P)
+        if cfg.family != "tsmixer_ext":
             h = x
-            for k in range(cfg.blocks):
-                h = ly.time_mixing(h, self._linear(P, f"block{k}.time"),
-                                   self._norm(P, f"block{k}.time_norm"),
-                                   rate, mode, rng, placement)
-                if cfg.family == "tsmixer":
-                    h = ly.feature_mixing(h, self._fm(P, f"block{k}.feat"),
-                                          self._norm(P, f"block{k}.feat_norm"),
-                                          rate, mode, rng, placement)
-            out = ly.temporal_projection(h, self._linear(P, "proj"))
-        else:  # tsmixer_ext
+            for block in layers["blocks"]:
+                h = ly.mixer_layer(h, block, rate, mode, rng, placement)
+            out = ly.temporal_projection(h, layers["proj"])
+        else:
             s = Tensor(stat) if stat is not None else None
-            aligned = ly.temporal_projection(x, self._linear(P, "align_time"))
-            h = ly.conditional_feature_mixing(aligned, s, self._cfm(P, "hist"),
+            aligned = ly.temporal_projection(x, layers["align_time"])
+            h = ly.conditional_feature_mixing(aligned, s, layers["hist"],
                                               rate, mode, rng, placement)
-            if cfg.future_covariates:
-                z = ly.conditional_feature_mixing(Tensor(fut), s, self._cfm(P, "future"),
+            if layers["future"] is not None:
+                z = ly.conditional_feature_mixing(Tensor(fut), s, layers["future"],
                                                   rate, mode, rng, placement)
                 h = tc.concat(h, z, axis=-1)
-            for k in range(cfg.blocks):
-                h = ly.conditional_mixer_layer(
-                    h, s,
-                    ly.CondMixerLayerParams(
-                        time=self._linear(P, f"block{k}.time"),
-                        time_norm=self._norm(P, f"block{k}.time_norm"),
-                        cfm=self._cfm(P, f"block{k}.cfm"),
-                    ),
-                    rate, mode, rng, placement)
-            if cfg.head == "negative_binomial":
-                mean = tc.add(tc.softplus(ly.feature_linear(h, self._linear(P, "head"))), HEAD_FLOOR)
-                disp = tc.add(tc.softplus(ly.feature_linear(h, self._linear(P, "dispersion"))), HEAD_FLOOR)
+            for block in layers["blocks"]:
+                h = ly.conditional_mixer_layer(h, s, block, rate, mode, rng, placement)
+            if layers["dispersion"] is not None:
+                mean = tc.add(tc.softplus(ly.feature_linear(h, layers["head"])), HEAD_FLOOR)
+                disp = tc.add(tc.softplus(ly.feature_linear(h, layers["dispersion"])), HEAD_FLOOR)
                 return ForecastOutput(mean=mean, dispersion=disp)
-            out = ly.feature_linear(h, self._linear(P, "head"))
+            out = ly.feature_linear(h, layers["head"])
 
         if rev_state is not None:
             out = ly.rev_in_denormalize(out, rev_state)
@@ -429,58 +387,12 @@ class Forecaster:
 
 
 def param_count(config: ModelConfig, include_norm_affine: bool = True) -> int:
-    """Exact number of learnable scalars, as a closed-form sum over layers.
+    """Exact number of learnable scalars of a model built from ``config``.
 
     Norm affine parameters (scale/shift per normalized cell) can be
     excluded to expose the additive lookback/channel growth of the
     mixing weights themselves.
     """
-    config.validate()
-    L, T, C = config.lookback, config.horizon, config.targets
-    H, K = config.hidden, config.blocks
-
-    def lin(out_dim: int, in_dim: int) -> int:
-        return out_dim * in_dim + out_dim
-
-    def fm(in_dim: int, out_dim: int) -> int:
-        n = lin(H, in_dim) + lin(out_dim, H)
-        return n + (lin(out_dim, in_dim) if out_dim != in_dim else 0)
-
-    if config.family == "linear":
-        return lin(T, L)
-    if config.family == "tmix_only":
-        n = K * lin(L, L) + lin(T, L)
-        affine = K * 2 * L * C
-    elif config.family == "tsmixer":
-        n = K * (lin(L, L) + fm(C, C)) + lin(T, L)
-        affine = K * 2 * (2 * L * C)
-    else:  # tsmixer_ext
-        Cs, Cz = config.static_features, config.future_covariates
-
-        def cfm(in_dim: int) -> tuple[int, int]:
-            weights = fm(in_dim + (H if Cs else 0), H)
-            aff = 2 * T * H
-            if Cs:
-                weights += fm(Cs, H)
-                aff += 2 * T * H
-            return weights, aff
-
-        n = lin(T, L)
-        affine = 0
-        w, a = cfm(config.input_channels)
-        n, affine = n + w, affine + a
-        width = H
-        if Cz:
-            w, a = cfm(Cz)
-            n, affine = n + w, affine + a
-            width = 2 * H
-        for _ in range(K):
-            n += lin(T, T)
-            affine += 2 * T * width
-            w, a = cfm(width)
-            n, affine = n + w, affine + a
-            width = H
-        n += lin(C, H)
-        if config.head == "negative_binomial":
-            n += lin(C, H)
-    return n + (affine if include_norm_affine else 0)
+    params = Forecaster(config).params
+    return sum(arr.size for name, arr in params.items()
+               if include_norm_affine or not name.endswith((".scale", ".shift")))

@@ -15,7 +15,6 @@ import numpy as np
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
 STREAM_DROPOUT = 2
-STREAM_DATA = 3
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -143,10 +143,6 @@ class Tape:
         self._leaves[nid] = t.data.shape
         return Tensor._wrap(t.data, self, nid)
 
-    @property
-    def leaf_ids(self) -> tuple[int, ...]:
-        return tuple(self._leaves)
-
     def release(self) -> None:
         """Drop the recorded closures once gradients are taken.
 
@@ -211,11 +207,6 @@ def add(a, b) -> Tensor:
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
     ))
-
-
-# Contract alias: broadcasting addition is the documented entry point for
-# bias application.
-add_broadcast = add
 
 
 def sub(a, b) -> Tensor:

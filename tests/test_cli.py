@@ -140,6 +140,21 @@ def test_nb_objective_with_standardize_rejected(workdir, capsys):
     assert "standardize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("hidden = x", "model.hidden must be an integer, got 'x'"),
+    ("dropout = lots", "model.dropout must be a number, got 'lots'"),
+    ("rev_in = maybe", "model.rev_in must be a boolean, got 'maybe'"),
+    ("family = 'linear'", "family must be one of"),  # quotes are not stripped
+])
+def test_experiment_model_values_are_typed(workdir, capsys, line, message):
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text(LINEAR_INI.format(out="run1").replace("family = linear", line))
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_divergent_training_exits_2_and_logs(workdir, capsys):
     write_series(workdir / "series.csv", steps=80)
@@ -210,6 +225,12 @@ def broken_checkpoint(workdir, case):
         ini.write_text(ini.read_text().replace("mean = 0.5 -0.5", "mean = 0.5"))
     elif case == "not_ini":
         ini.write_text("lookback = 14\n")
+    elif case == "standardize_not_bool":
+        ini.write_text(ini.read_text().replace("standardize = True", "standardize = banana"))
+    elif case == "standardize_lowercase":
+        ini.write_text(ini.read_text().replace("standardize = True", "standardize = true"))
+    elif case == "no_preprocess":
+        ini.write_text(ini.read_text().split("[preprocess]")[0])
     elif case in ("bad_utf8_name", "rank_above_3"):
         blob = bytearray(params.read_bytes())
         name_len = int.from_bytes(blob[12:14], "little")  # of the first entry
@@ -231,6 +252,8 @@ def broken_checkpoint(workdir, case):
     ("non_numeric_key", "model.lookback must be an integer"),
     ("short_mean", "preprocess.mean has 1 values for 2 columns"),
     ("not_ini", "not a valid INI file: File contains no section headers."),
+    ("standardize_not_bool", "preprocess.standardize must be a boolean, got 'banana'"),
+    ("no_preprocess", "no [preprocess] section"),
     ("bad_utf8_name", "not valid UTF-8"),
     ("rank_above_3", "rank 4 above 3"),
     ("no_running_stats", "missing buffer 'block0.time_norm.mean'"),
@@ -247,6 +270,13 @@ def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
 def test_unmodified_checkpoint_fixture_evaluates(workdir):
     ckpt = broken_checkpoint(workdir, "none")
     assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 0
+
+
+def test_checkpoint_standardize_is_parsed_as_a_boolean(workdir):
+    _, scaler = cli.load_checkpoint(broken_checkpoint(workdir, "standardize_lowercase"))
+    assert scaler is not None and scaler.columns == ["y0", "y1"]
+    np.testing.assert_array_equal(scaler.mean, [0.5, -0.5])
+    np.testing.assert_array_equal(scaler.std, [2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

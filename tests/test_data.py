@@ -224,23 +224,6 @@ class TestStandardize:
         np.testing.assert_allclose(back, frame.values, atol=1e-9)
 
 
-class TestMeanScale:
-    def test_roundtrip(self):
-        hist = np.abs(make_rng(3).normal(loc=10.0, size=(6, 8, 2))) + 1.0
-        scaled, scales = dt.mean_scale_local(hist)
-        np.testing.assert_allclose(scaled.mean(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(dt.rescale_forecast(scaled, scales), hist, atol=1e-12)
-
-    def test_nonpositive_mean_keeps_scale_one(self):
-        hist = np.zeros((2, 4, 1))
-        hist[1] = 5.0
-        with pytest.warns(UserWarning, match="non-positive"):
-            scaled, scales = dt.mean_scale_local(hist)
-        np.testing.assert_array_equal(scaled[0], hist[0])
-        assert scales[0, 0, 0] == 1.0
-        assert scales[1, 0, 0] == 5.0
-
-
 class TestWindows:
     def frame(self, steps, seed=4):
         rng = make_rng(seed)
@@ -377,15 +360,15 @@ class TestWindowParity:
 
 class TestSplit:
     def test_default_fractions(self):
-        frame = TestWindows().frame(100)
-        train, val, test = dt.split(frame)
-        assert (train.n_steps, val.n_steps, test.n_steps) == (70, 20, 10)
+        assert dt.DEFAULT_SPLIT.bounds(100) == ((0, 70), (70, 90), (90, 100))
+        # partial rows round down, and the remainder goes to the test partition
+        assert dt.DEFAULT_SPLIT.bounds(99) == ((0, 69), (69, 88), (88, 99))
 
     def test_explicit_ranges(self):
-        frame = TestWindows().frame(50)
         spec = dt.SplitSpec(ranges=((0, 30), (30, 42), (42, 50)))
-        train, val, test = dt.split(frame, spec)
-        assert (train.n_steps, val.n_steps, test.n_steps) == (30, 12, 8)
+        assert spec.bounds(50) == ((0, 30), (30, 42), (42, 50))
+        with pytest.raises(errors.ConfigurationError, match="exceeds 49 rows"):
+            spec.bounds(49)
 
     def test_bad_specs(self):
         with pytest.raises(errors.ConfigurationError, match="sum"):

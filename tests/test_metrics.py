@@ -115,13 +115,6 @@ class TestWrmsse:
 
 
 class TestWeightsAndLoading:
-    def test_revenue_weights_proportional(self):
-        groups = {"a": ["s1", "s2"], "b": ["s3"]}
-        revenue = {"s1": 30.0, "s2": 20.0, "s3": 50.0}
-        w = mt.revenue_weights(groups, revenue)
-        assert w == {"a": 0.5, "b": 0.5}
-        assert sum(w.values()) == pytest.approx(1.0)
-
     def test_load_hierarchy_roundtrip(self, tmp_path):
         spec = {
             "levels": [

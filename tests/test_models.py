@@ -1,5 +1,7 @@
 """Model families, closed-form solutions, and parameter accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,41 @@ class TestParamCount:
             assert count(64, c1) - count(32, c1) == count(64, c2) - count(32, c2)
         for l1, l2 in [(16, 48), (32, 96)]:
             assert count(l1, 10) - count(l1, 5) == count(l2, 10) - count(l2, 5)
+
+
+class TestArchitecturePinned:
+    """Names, shapes and bytes of every parameter and buffer at seed 0.
+
+    The digest changes with the initialization order or a parameter name,
+    which the sizes checked by TestParamCount cannot see.
+    """
+
+    @staticmethod
+    def digest(model):
+        h = hashlib.sha256()
+        for group in (model.params, model.buffers):
+            h.update(b"--")
+            for name, arr in group.items():
+                h.update(f"{name} {arr.shape} ".encode())
+                h.update(arr.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("config, expected", [
+        (dict(family="linear", lookback=12, horizon=5, targets=3),
+         "91ac3fa6cfa0e54d149587ea92928d05b945917f042ad15e35a3db9536cc5f62"),
+        (dict(family="tmix_only", lookback=12, horizon=5, targets=3, blocks=2),
+         "d412c8c03a2c64e6354e80bc0e6ad96f3c57b2545a1f01b1b1f4951ca87eaf30"),
+        (dict(family="tsmixer", lookback=12, horizon=5, targets=3, hidden=7, blocks=2,
+              batch_stats="per_feature"),
+         "21edf1406b82c283e29f6e7f30e108a7e2d7aa54fe4797ca2adf997dc7224d83"),
+        (dict(family="tsmixer_ext", lookback=12, horizon=5, targets=3, hidden=7, blocks=2),
+         "b0779bd54d490e90c2499d02f0116a01c4220e8ecb0c8ed628267ab8597da8bd"),
+        (dict(family="tsmixer_ext", lookback=9, horizon=4, targets=2, hidden=5, blocks=1,
+              head="negative_binomial"),
+         "04cfa38ed4d5572769318effd28009592ced027fefbb9fb0475ad544a7fea74e"),
+        (dict(family="tsmixer_ext", lookback=12, horizon=5, targets=3, hist_covariates=2,
+              future_covariates=4, static_features=6, hidden=7, blocks=2),
+         "6b43f23adf61e3218a048931fd77d34c9967d2ed93ec049a4d424d25d26cfddd"),
+    ], ids=["linear", "tmix_only", "tsmixer", "tsmixer_ext", "nb_head", "covariates"])
+    def test_params_and_buffers_at_seed_0(self, config, expected):
+        assert self.digest(md.Forecaster(md.ModelConfig(**config), seed=0)) == expected

@@ -82,7 +82,7 @@ class TestForwardSemantics:
         for sa, sb in cases:
             a = rng.normal(size=sa)
             b = rng.normal(size=sb)
-            got = tc.add_broadcast(Tensor(a), Tensor(b)).data
+            got = tc.add(Tensor(a), Tensor(b)).data
             np.testing.assert_allclose(got, loop_broadcast_add(a, b), rtol=1e-15)
 
     def test_add_incompatible_shapes(self):
