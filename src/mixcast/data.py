@@ -79,9 +79,6 @@ class SeriesFrame:
     def indices_for(self, role: str) -> list[int]:
         return [j for j, c in enumerate(self.columns) if self.roles[c] == role]
 
-    def slice_rows(self, start: int, stop: int) -> "SeriesFrame":
-        return SeriesFrame(self.values[start:stop].copy(), list(self.columns), dict(self.roles))
-
 
 def load_schema(path) -> dict[str, str]:
     """Read a column-role schema from an INI file with a [roles] section."""

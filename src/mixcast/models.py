@@ -255,13 +255,16 @@ class Forecaster:
             )
 
         def cfm(name: str, in_dim: int) -> ly.CondFeatureMixParams:
+            # Pre placement normalizes a block's input, post its H-wide output.
+            pre = cfg.placement == "pre"
             static_mix = static_norm = None
             if cfg.static_features:
                 static_mix = fm(f"{name}.static", cfg.static_features, H)
-                static_norm = norm(f"{name}.static_norm", T, H)
+                static_norm = norm(f"{name}.static_norm", T, cfg.static_features if pre else H)
                 in_dim += H
-            return ly.CondFeatureMixParams(joint=fm(f"{name}.joint", in_dim, H),
-                                           joint_norm=norm(f"{name}.joint_norm", T, H),
+            joint = fm(f"{name}.joint", in_dim, H)
+            joint_norm = norm(f"{name}.joint_norm", T, in_dim if pre else H)
+            return ly.CondFeatureMixParams(joint=joint, joint_norm=joint_norm,
                                            static_mix=static_mix, static_norm=static_norm)
 
         if cfg.family != "tsmixer_ext":

@@ -82,14 +82,21 @@ def load_params(path) -> dict[str, np.ndarray]:
         raise FormatError(f"{path}: truncated container index") from exc
     except UnicodeDecodeError:
         raise FormatError(f"{path}: entry name at byte {pos} is not valid UTF-8") from None
-    payload_start = pos
+    # Payloads sit back to back in index order, as save_params writes them,
+    # so no entry can overlap another or leave bytes unaccounted for.
+    start = pos
     out: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
-        n = int(np.prod(shape)) if shape else 1
-        start = payload_start + offset
-        stop = start + 8 * n
+        if name in out:
+            raise FormatError(f"{path}: duplicate entry {name!r}")
+        if pos + offset != start:
+            raise FormatError(f"{path}: payload for {name!r} is at offset {offset}, "
+                              f"expected {start - pos}")
+        stop = start + 8 * (int(np.prod(shape)) if shape else 1)
         if stop > len(blob):
             raise FormatError(f"{path}: payload for {name!r} is truncated")
-        arr = np.frombuffer(blob[start:stop], dtype="<f8").reshape(shape).copy()
-        out[name] = arr
+        out[name] = np.frombuffer(blob[start:stop], dtype="<f8").reshape(shape).copy()
+        start = stop
+    if start != len(blob):
+        raise FormatError(f"{path}: {len(blob) - start} trailing bytes after the last payload")
     return out

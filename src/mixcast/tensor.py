@@ -247,7 +247,14 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; a leading batch axis broadcasts against rank 2."""
+    """Matrix product; a leading batch axis broadcasts against rank 2.
+
+    On a tape, a rank-2 left operand shared across a batch (W @ x) is
+    contracted in one GEMM over all batch columns, forward and backward,
+    instead of one GEMM per sample plus a per-sample weight gradient that
+    is summed away.  Without a tape the result is the plain broadcast
+    product.
+    """
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise RankError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
@@ -255,6 +262,8 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: inner extents disagree for {a.shape} @ {b.shape}")
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(f"matmul: batch extents disagree for {a.shape} @ {b.shape}")
+    if a.ndim == 2 and b.ndim == 3 and (a.tape is not None or b.tape is not None):
+        return _matmul_shared_left(a, b)
     out = a.data @ b.data
 
     def vjp_a(g):
@@ -264,6 +273,28 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
 
     return _join(out, ((a, vjp_a), (b, vjp_b)))
+
+
+def _matmul_shared_left(a: Tensor, b: Tensor) -> Tensor:
+    """(O x I) @ (B x I x C) as one (O x I) @ (I x B*C) GEMM.
+
+    ``b`` is copied once into column layout; the weight gradient needs
+    that copy too.  Results come back as (B x O x C) transposed views.
+    """
+    B, I, C = b.shape
+    O = a.shape[0]
+    cols = b.data.transpose(1, 0, 2).reshape(I, B * C)
+
+    def batch_view(m: np.ndarray) -> np.ndarray:
+        return m.reshape(m.shape[0], B, C).transpose(1, 0, 2)
+
+    def as_cols(g: np.ndarray) -> np.ndarray:
+        return g.transpose(1, 0, 2).reshape(O, B * C)
+
+    return _join(batch_view(a.data @ cols), (
+        (a, lambda g: as_cols(g) @ cols.T),
+        (b, lambda g: batch_view(a.data.T @ as_cols(g))),
+    ))
 
 
 def transpose(a) -> Tensor:

@@ -5,6 +5,7 @@ files can be asserted directly; training runs are kept tiny.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mixcast import __version__
 from mixcast import cli
 from mixcast import data as dt
 from mixcast import models as md
-from mixcast.params_io import load_params, save_params
+from mixcast.params_io import MAGIC, VERSION, load_params, save_params
 
 
 def run_cli(*argv):
@@ -206,6 +207,17 @@ def test_checkpoint_missing_model_ini(workdir, capsys):
     assert "model.ini" in capsys.readouterr().err
 
 
+def pack_entries(entries):
+    """A container from (name, array, payload offset) triples, payloads in order."""
+    index = payload = b""
+    for name, arr, offset in entries:
+        raw = name.encode("utf-8")
+        index += struct.pack(f"<H{len(raw)}sB{arr.ndim}IQ", len(raw), raw, arr.ndim,
+                             *arr.shape, offset)
+        payload += arr.tobytes()
+    return MAGIC + bytes([VERSION]) + struct.pack("<I", len(entries)) + index + payload
+
+
 def broken_checkpoint(workdir, case):
     """A small batch2d checkpoint with one defect, plus a CSV to evaluate."""
     cfg = md.ModelConfig(family="tsmixer", lookback=14, horizon=7, targets=2,
@@ -243,6 +255,19 @@ def broken_checkpoint(workdir, case):
         save_params(params, model.params)
     elif case == "unknown_entry":
         save_params(params, {**load_params(params), "stray": np.zeros(2)})
+    elif case == "trailing_bytes":
+        params.write_bytes(params.read_bytes() + bytes(8))
+    elif case in ("overlapping_offset", "duplicate_name"):
+        entries, offset = [], 0
+        for name, arr in load_params(params).items():
+            entries.append((name, arr, offset))
+            offset += arr.nbytes
+        if case == "overlapping_offset":  # the second entry reads the first one's values
+            entries[1] = (*entries[1][:2], entries[0][2])
+        else:  # a later entry that would replace the last one
+            name, arr, _ = entries[-1]
+            entries.append((name, arr + 1.0, offset))
+        params.write_bytes(pack_entries(entries))
     write_series(workdir / "series.csv", steps=60)
     return ckpt
 
@@ -258,6 +283,9 @@ def broken_checkpoint(workdir, case):
     ("rank_above_3", "rank 4 above 3"),
     ("no_running_stats", "missing buffer 'block0.time_norm.mean'"),
     ("unknown_entry", "unknown entry 'stray'"),
+    ("trailing_bytes", "8 trailing bytes after the last payload"),
+    ("overlapping_offset", "is at offset 0, expected"),
+    ("duplicate_name", "duplicate entry"),
 ])
 def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
     ckpt = broken_checkpoint(workdir, case)
@@ -322,7 +350,8 @@ def test_forecast_writes_horizon_rows(workdir):
 
 def test_forecast_rejects_short_history(workdir, capsys):
     out = train_linear(workdir)
-    short = dt.load_csv(workdir / "series.csv").slice_rows(0, 10)
+    full = dt.load_csv(workdir / "series.csv")
+    short = dt.SeriesFrame(full.values[:10], full.columns, full.roles)
     dt.save_csv(short, workdir / "short.csv")
     assert run_cli("forecast", "--checkpoint", str(out), "--csv", "short.csv",
                    "--out", "fc.csv") == 1

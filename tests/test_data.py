@@ -243,14 +243,14 @@ class TestWindows:
             L = int(rng.integers(1, 10))
             T = int(rng.integers(1, 6))
             stride = int(rng.integers(1, 5))
-            frame = self.frame(max(steps, 1))
+            frame = self.frame(steps)
             spec = dt.WindowSpec(L, T, stride)
             if steps < L + T:
                 with pytest.warns(UserWarning):
-                    batch = dt.make_windows(frame.slice_rows(0, steps), spec)
+                    batch = dt.make_windows(frame, spec)
                 assert len(batch) == 0
             else:
-                batch = dt.make_windows(frame.slice_rows(0, steps), spec)
+                batch = dt.make_windows(frame, spec)
                 assert len(batch) == (steps - L - T) // stride + 1
 
     def test_window_contents_align(self):
@@ -340,7 +340,7 @@ class TestWindowParity:
 
     @pytest.mark.parametrize("steps", [0, 5, 13])
     def test_empty_batch_shapes(self, steps):
-        frame = interleaved_frame(40).slice_rows(0, steps)
+        frame = interleaved_frame(steps)
         spec = dt.WindowSpec(9, 5, 3)
         with pytest.warns(UserWarning, match="no windows"):
             batch = dt.make_windows(frame, spec)
@@ -383,7 +383,7 @@ class TestSplit:
         wspec = dt.WindowSpec(12, 4)
         train_w, val_w, test_w = dt.split_windows(frame, dt.DEFAULT_SPLIT, wspec)
         # train windows match plain windowing of the train frame
-        train_frame = frame.slice_rows(0, 70)
+        train_frame = dt.SeriesFrame(frame.values[:70], frame.columns, frame.roles)
         assert len(train_w) == len(dt.make_windows(train_frame, wspec))
         # validation histories may start before the boundary ...
         assert val_w.starts.min() == 70 - 12

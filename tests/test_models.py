@@ -323,6 +323,28 @@ class TestGradChecks:
                              hidden=4, blocks=1, norm="layer")
         assert self.check_family(cfg, 23, with_future=True, with_static=True) < 1e-4
 
+    @pytest.mark.parametrize("extra", [
+        {"targets": 3},
+        {"targets": 2, "static_features": 3},
+        {"targets": 2, "future_covariates": 1},
+    ], ids=["targets_ne_hidden", "static", "future"])
+    def test_tsmixer_ext_pre_placement(self, extra):
+        # Pre placement normalizes each conditional block's input, whose
+        # width differs from hidden in all three cases.
+        base = dict(family="tsmixer_ext", lookback=5, horizon=3, hidden=4, blocks=2,
+                    norm_placement="pre", **extra)
+        with_future = "future_covariates" in extra
+        with_static = "static_features" in extra
+        cfg = md.ModelConfig(**base, norm="batch2d")
+        rng = make_rng(24)
+        fut = rng.normal(size=(3, 3, 1)) if with_future else None
+        stat = rng.normal(size=(3, 1, 3)) if with_static else None
+        out = md.Forecaster(cfg, seed=24).forward(rng.normal(size=(3, 5, cfg.input_channels)),
+                                                  fut, stat, mode="train").point
+        assert out.shape == (3, 3, cfg.targets)
+        cfg = md.ModelConfig(**base, norm="layer")
+        assert self.check_family(cfg, 24, with_future=with_future, with_static=with_static) < 1e-4
+
 
 class TestParamCount:
     CONFIGS = [

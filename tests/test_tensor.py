@@ -1,6 +1,8 @@
 """Tensor core: forward semantics against loop oracles, autodiff against
 finite differences, and the documented error contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,63 @@ class TestGradCheck:
             return tc.mean(tc.mul(out, out))
 
         assert tc.grad_check(f, [x]) < 1e-4
+
+
+def broadcast_matmul_grads(a, b, g):
+    """The per-sample broadcast VJPs, summed back to each operand's shape."""
+    ga = tc._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+    gb = tc._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+class TestBatchedMatmul:
+    """A rank-2 operand shared across a batch, as in the temporal
+    projection (W @ x) and the feature linear (x @ W.T)."""
+
+    SHAPES = [((5, 4), (3, 4, 2)), ((2, 6), (4, 6, 1)), ((3, 6, 4), (4, 5)), ((2, 1, 3), (3, 3))]
+
+    @pytest.mark.parametrize("sa,sb", SHAPES)
+    def test_grad_check_both_leaves(self, sa, sb):
+        rng = make_rng(41)
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        w = Tensor(make_rng(42).normal(size=(a @ b).shape))
+
+        def f(ps):
+            return tc.mean(tc.mul(tc.matmul(ps[0], ps[1]), w))
+
+        assert tc.grad_check(f, [a, b]) < 1e-4
+
+    @pytest.mark.parametrize("sa,sb", SHAPES)
+    def test_taped_matches_untaped_and_broadcast_grads(self, sa, sb):
+        rng = make_rng(43)
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        plain = tc.matmul(Tensor(a), Tensor(b)).data
+        np.testing.assert_array_equal(plain, a @ b)
+        for bind_a, bind_b in [(True, True), (True, False), (False, True)]:
+            tape = Tape()
+            ta = tape.leaf(a) if bind_a else Tensor(a)
+            tb = tape.leaf(b) if bind_b else Tensor(b)
+            out = tc.matmul(ta, tb)
+            np.testing.assert_allclose(out.data, plain, rtol=1e-13)
+            g = make_rng(44).normal(size=plain.shape)
+            grads = tc.backward(tape, tc.tensor_sum(tc.mul(out, Tensor(g))))
+            ga, gb = broadcast_matmul_grads(a, b, g)
+            if bind_a:
+                np.testing.assert_allclose(grads[ta.nid].data, ga, rtol=1e-12)
+            if bind_b:
+                np.testing.assert_allclose(grads[tb.nid].data, gb, rtol=1e-12)
+
+    def test_weight_gradient_builds_no_per_sample_array(self):
+        rng = make_rng(45)
+        tape = Tape()
+        w = tape.leaf(rng.normal(size=(64, 64)))
+        x = tape.leaf(rng.normal(size=(16, 64, 3)))
+        loss = tc.tensor_sum(tc.matmul(w, x))
+        tracemalloc.start()
+        try:
+            grads = tc.backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[w.nid].shape == (64, 64)
+        assert peak < 16 * 64 * 64 * 8
