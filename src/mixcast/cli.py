@@ -89,10 +89,7 @@ def _merge_config(path: Path | None) -> dict[str, dict[str, str]]:
     merged = {section: dict(keys) for section, keys in _DEFAULTS.items()}
     if path is None:
         return merged
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    if not parser.read(path):
-        raise ConfigurationError(f"config file {path} not found")
+    parser = dt.read_ini(path, ConfigurationError)
     for section in parser.sections():
         if section not in merged:
             raise ConfigurationError(f"unknown config section [{section}]")
@@ -270,13 +267,7 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
     ini = path / "model.ini" if path.is_dir() else path
     if not ini.exists():
         raise ConfigurationError(f"checkpoint {path} has no model.ini")
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    try:
-        parser.read(ini)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        reason = str(exc).splitlines()[0]
-        raise ConfigurationError(f"{ini} is not a valid INI file: {reason}") from None
+    parser = dt.read_ini(ini, ConfigurationError)
     raw = _read_section(parser, ini, "model", [f.name for f in fields(md.ModelConfig)])
     cfg = md.ModelConfig(**_parse_model(raw, f"{ini}: ", lambda value, where: value.strip("'\"")))
     model = md.Forecaster(cfg, seed=0)
@@ -337,14 +328,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_forecasts(model: md.Forecaster, windows: dt.WindowBatch, batch: int = 256):
+def _eval_forecasts(model: md.Forecaster, windows: dt.WindowBatch):
     outputs = []
-    cfg = model.config
-    for lo in range(0, len(windows), batch):
-        chunk = windows.subset(slice(lo, lo + batch))
-        out = model.forward(chunk.history,
-                            chunk.future if cfg.future_covariates else None,
-                            chunk.static if cfg.static_features else None)
+    for lo in range(0, len(windows), tr.EVAL_CHUNK):
+        chunk = windows.subset(slice(lo, lo + tr.EVAL_CHUNK))
+        out = model.forward(chunk.history, chunk.future, chunk.static)
         outputs.append((out.point if out.point is not None else out.mean).data)
     return np.concatenate(outputs, axis=0)
 
@@ -373,19 +361,11 @@ def cmd_evaluate(args) -> int:
 
     if args.hierarchy:
         spec = mt.load_hierarchy(args.hierarchy)
-        # Single holdout: forecast the final horizon from the window before it.
-        last = len(raw_frame.values) - cfg.horizon - cfg.lookback
-        final = windows.subset(np.nonzero(windows.starts == last)[0])
-        if len(final) != 1:
-            raise DataError("hierarchy evaluation needs the final window intact")
-        fpred = _eval_forecasts(model, final)[0]
-        if scaler is not None:
-            fpred = scaler.invert(fpred, target_cols)
-        forecasts = {c: fpred[:, k] for k, c in enumerate(target_cols)}
-        actuals = {c: raw_frame.values[last + cfg.lookback :, j]
-                   for c, j in zip(target_cols, idx)}
-        histories = {c: raw_frame.values[: last + cfg.lookback, j]
-                     for c, j in zip(target_cols, idx)}
+        # Single holdout: the last window (stride 1) forecasts the final horizon.
+        cut = raw_frame.n_steps - cfg.horizon
+        forecasts = {c: pred[-1, :, k] for k, c in enumerate(target_cols)}
+        actuals = {c: raw_frame.values[cut:, j] for c, j in zip(target_cols, idx)}
+        histories = {c: raw_frame.values[:cut, j] for c, j in zip(target_cols, idx)}
         score, per_level = mt.wrmsse(forecasts, actuals, histories, spec)
         lines.append(f"wrmsse: {score!r}")
         for name, value in per_level.items():
@@ -463,6 +443,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     rng_master = np.random.Generator(np.random.Philox([args.seed, 17]))
     violations: list[str] = []
     worst_periodic = 0.0

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DataError, ParameterError, SchemaError
+from .errors import (ConfigurationError, DataError, MixcastError, ParameterError, SchemaError,
+                     reading)
 from .rng import make_rng
 
 ROLES = ("target", "historical", "future", "static")
@@ -80,13 +81,23 @@ class SeriesFrame:
         return [j for j, c in enumerate(self.columns) if self.roles[c] == role]
 
 
+def read_ini(path, error: type[MixcastError]) -> configparser.ConfigParser:
+    """Parse an INI file with case-sensitive keys; a missing, unreadable
+    or malformed file raises ``error``."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    with reading(path, error), open(path, encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            reason = str(exc).splitlines()[0]
+            raise error(f"{path} is not a valid INI file: {reason}") from None
+    return parser
+
+
 def load_schema(path) -> dict[str, str]:
     """Read a column-role schema from an INI file with a [roles] section."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # column names are case sensitive
-    read = parser.read(path)
-    if not read:
-        raise SchemaError(f"schema file {path} not found")
+    parser = read_ini(path, SchemaError)
     if not parser.has_section("roles"):
         raise SchemaError(f"schema file {path} has no [roles] section")
     schema = {}
@@ -108,7 +119,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
     header: list[str] | None = None
     rows: list[list[str]] = []
     line_nums: list[int] = []
-    with open(path, newline="") as fh:
+    with reading(path, DataError), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or (row[0].lstrip().startswith("#")):

@@ -2,9 +2,12 @@
 
 Everything user-facing derives from MixcastError so the CLI can map
 "our" failures to exit code 1 and anything else to exit code 2.
+``reading`` does the same for an input file that cannot be read.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class MixcastError(Exception):
@@ -53,3 +56,15 @@ class MetricError(MixcastError):
 
 class NumericError(MixcastError):
     """A computation produced non-finite values from finite inputs."""
+
+
+@contextmanager
+def reading(path, error: type[MixcastError]):
+    """Raise ``error`` naming ``path`` when it cannot be opened or is not
+    UTF-8 text, so a bad input file is a user error rather than a crash."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None

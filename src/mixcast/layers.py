@@ -16,7 +16,10 @@ On top of these sit the residual mixing blocks:
   with a learned row-wise projection on the residual path whenever the
   block changes the channel count;
 * conditional feature mixing: static features are expanded along rows,
-  feature-mixed to hidden width, concatenated, then feature-mixed jointly.
+  feature-mixed to hidden width, concatenated, then feature-mixed jointly;
+  without static features this is plain feature mixing;
+* mixer layer: time mixing, then conditional feature mixing — the one
+  layer every family stacks.
 
 ``placement`` controls where a block's norm sits: ``"post"`` normalizes
 the residual sum (the literal block formula), ``"pre"`` normalizes the
@@ -236,9 +239,15 @@ class FeatureMixParams:
     residual: LinearParams | None = None
 
 
-def _check_placement(placement: str) -> None:
+def _residual(x: Tensor, res: Tensor, body, norm: NormParams, mode: str,
+              placement: str) -> Tensor:
+    """``res + body(x)`` with the block norm where ``placement`` puts it:
+    on the sum (``"post"``) or on the body's input (``"pre"``)."""
     if placement not in PLACEMENTS:
         raise ParameterError(f"placement must be 'pre' or 'post', got {placement!r}")
+    if placement == "post":
+        return norm2d(tc.add(res, body(x)), norm, mode)
+    return tc.add(res, body(norm2d(x, norm, mode)))
 
 
 def time_mixing(x, p: LinearParams, norm: NormParams, rate: float = 0.0,
@@ -248,22 +257,20 @@ def time_mixing(x, p: LinearParams, norm: NormParams, rate: float = 0.0,
     The projection must be square (rows -> rows) so the residual sum is
     well formed.
     """
-    _check_placement(placement)
     x = _lift(x)
     w, _ = _check_linear(p, "time_mixing")
     if w.shape[0] != w.shape[1]:
         raise DimensionError(f"time_mixing requires a square projection, got weight {w.shape}")
-    if placement == "post":
-        h = tc.dropout(tc.relu(temporal_projection(x, p)), rate, mode, rng)
-        return norm2d(tc.add(x, h), norm, mode)
-    h = tc.dropout(tc.relu(temporal_projection(norm2d(x, norm, mode), p)), rate, mode, rng)
-    return tc.add(x, h)
+
+    def body(inp: Tensor) -> Tensor:
+        return tc.dropout(tc.relu(temporal_projection(inp, p)), rate, mode, rng)
+
+    return _residual(x, x, body, norm, mode, placement)
 
 
 def feature_mixing(x, p: FeatureMixParams, norm: NormParams, rate: float = 0.0,
                    mode: str = "eval", rng=None, placement: str = "post") -> Tensor:
     """Residual block mixing information across channels."""
-    _check_placement(placement)
     x = _lift(x)
     in_dim = x.shape[-1]
     out_dim = _lift(p.out.weight).shape[0]
@@ -277,9 +284,7 @@ def feature_mixing(x, p: FeatureMixParams, norm: NormParams, rate: float = 0.0,
         return tc.dropout(feature_linear(u, p.out), rate, mode, rng)
 
     res = x if p.residual is None else feature_linear(x, p.residual)
-    if placement == "post":
-        return norm2d(tc.add(res, body(x)), norm, mode)
-    return tc.add(res, body(norm2d(x, norm, mode)))
+    return _residual(x, res, body, norm, mode, placement)
 
 
 @dataclass
@@ -320,32 +325,18 @@ def conditional_feature_mixing(x, static, p: CondFeatureMixParams, rate: float =
 
 @dataclass
 class MixerLayerParams:
-    """Time mixing, then feature mixing unless ``feat`` is absent."""
+    """Time mixing, then (conditional) feature mixing unless ``feat`` is absent."""
 
     time: LinearParams
     time_norm: NormParams
-    feat: FeatureMixParams | None = None
-    feat_norm: NormParams | None = None
+    feat: CondFeatureMixParams | None = None
 
 
-def mixer_layer(x, p: MixerLayerParams, rate: float = 0.0, mode: str = "eval",
+def mixer_layer(x, p: MixerLayerParams, static=None, rate: float = 0.0, mode: str = "eval",
                 rng=None, placement: str = "post") -> Tensor:
-    """Time mixing followed by feature mixing (time mixing only without ``feat``)."""
+    """Time mixing followed by feature mixing conditioned on ``static``
+    (time mixing only without ``feat``)."""
     h = time_mixing(x, p.time, p.time_norm, rate, mode, rng, placement)
     if p.feat is None:
         return h
-    return feature_mixing(h, p.feat, p.feat_norm, rate, mode, rng, placement)
-
-
-@dataclass
-class CondMixerLayerParams:
-    time: LinearParams
-    time_norm: NormParams
-    cfm: CondFeatureMixParams
-
-
-def conditional_mixer_layer(x, static, p: CondMixerLayerParams, rate: float = 0.0,
-                            mode: str = "eval", rng=None, placement: str = "post") -> Tensor:
-    """Time mixing followed by conditional feature mixing."""
-    h = time_mixing(x, p.time, p.time_norm, rate, mode, rng, placement)
-    return conditional_feature_mixing(h, static, p.cfm, rate, mode, rng, placement)
+    return conditional_feature_mixing(h, static, p.feat, rate, mode, rng, placement)

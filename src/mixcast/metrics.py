@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MetricError, SchemaError
+from .errors import MetricError, SchemaError, reading
 
 WEIGHT_ATOL = 1e-9
 
@@ -64,7 +64,7 @@ class HierarchySpec:
             if set(level.weights) != set(level.groups):
                 raise SchemaError(f"level {level.name!r}: weights do not match groups")
             total = sum(level.weights.values())
-            if abs(total - 1.0) > WEIGHT_ATOL:
+            if not abs(total - 1.0) <= WEIGHT_ATOL:  # a NaN weight fails too
                 raise SchemaError(f"level {level.name!r}: weights sum to {total!r}, expected 1")
             covered = set()
             for agg, members in level.groups.items():
@@ -109,8 +109,10 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
 
 def load_hierarchy(path) -> HierarchySpec:
     """Read a hierarchy spec from JSON: {"levels": [{name, groups, weights}]}."""
+    with reading(path, SchemaError):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid hierarchy JSON: {exc}") from exc
     try:
@@ -119,4 +121,6 @@ def load_hierarchy(path) -> HierarchySpec:
                   for lv in raw["levels"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"{path}: hierarchy JSON is missing fields: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path}: hierarchy weight is not a number: {exc}") from exc
     return HierarchySpec(levels)

@@ -273,8 +273,8 @@ class Forecaster:
                 ly.MixerLayerParams(
                     time=linear(f"block{k}.time", L, L),
                     time_norm=norm(f"block{k}.time_norm", L, C),
-                    feat=fm(f"block{k}.feat", C, C) if feat else None,
-                    feat_norm=norm(f"block{k}.feat_norm", L, C) if feat else None,
+                    feat=ly.CondFeatureMixParams(fm(f"block{k}.feat", C, C),
+                                                 norm(f"block{k}.feat_norm", L, C)) if feat else None,
                 )
                 for k in range(cfg.blocks)]
             return {"blocks": blocks, "proj": linear("proj", T, L)}
@@ -284,9 +284,9 @@ class Forecaster:
             "align_time": linear("align_time", T, L),
             "hist": cfm("hist", cfg.input_channels),
             "future": cfm("future", cfg.future_covariates) if cfg.future_covariates else None,
-            "blocks": [ly.CondMixerLayerParams(time=linear(f"block{k}.time", T, T),
-                                               time_norm=norm(f"block{k}.time_norm", T, width),
-                                               cfm=cfm(f"block{k}.cfm", width))
+            "blocks": [ly.MixerLayerParams(time=linear(f"block{k}.time", T, T),
+                                           time_norm=norm(f"block{k}.time_norm", T, width),
+                                           feat=cfm(f"block{k}.cfm", width))
                        for k, width in enumerate(widths)],
             "head": linear("head", C, H),
             "dispersion": linear("dispersion", C, H) if cfg.head == "negative_binomial" else None,
@@ -351,33 +351,32 @@ class Forecaster:
             targets = hist[:, :, : cfg.targets]
             normalized, rev_state = ly.rev_in_normalize(targets)
             if cfg.hist_covariates:
-                x = tc.concat(normalized, Tensor(hist[:, :, cfg.targets:]), axis=-1)
+                h = tc.concat(normalized, Tensor(hist[:, :, cfg.targets:]), axis=-1)
             else:
-                x = normalized
+                h = normalized
         else:
-            x = Tensor(hist)
+            h = Tensor(hist)
 
         layers = self._layers(P)
-        if cfg.family != "tsmixer_ext":
-            h = x
-            for block in layers["blocks"]:
-                h = ly.mixer_layer(h, block, rate, mode, rng, placement)
-            out = ly.temporal_projection(h, layers["proj"])
-        else:
-            s = Tensor(stat) if stat is not None else None
-            aligned = ly.temporal_projection(x, layers["align_time"])
+        s = Tensor(stat) if stat is not None else None
+        ext = cfg.family == "tsmixer_ext"
+        if ext:  # stem: align the lookback onto the horizon, mix in the covariates
+            aligned = ly.temporal_projection(h, layers["align_time"])
             h = ly.conditional_feature_mixing(aligned, s, layers["hist"],
                                               rate, mode, rng, placement)
             if layers["future"] is not None:
                 z = ly.conditional_feature_mixing(Tensor(fut), s, layers["future"],
                                                   rate, mode, rng, placement)
                 h = tc.concat(h, z, axis=-1)
-            for block in layers["blocks"]:
-                h = ly.conditional_mixer_layer(h, s, block, rate, mode, rng, placement)
-            if layers["dispersion"] is not None:
-                mean = tc.add(tc.softplus(ly.feature_linear(h, layers["head"])), HEAD_FLOOR)
-                disp = tc.add(tc.softplus(ly.feature_linear(h, layers["dispersion"])), HEAD_FLOOR)
-                return ForecastOutput(mean=mean, dispersion=disp)
+        for block in layers["blocks"]:
+            h = ly.mixer_layer(h, block, s, rate, mode, rng, placement)
+        if not ext:
+            out = ly.temporal_projection(h, layers["proj"])
+        elif layers["dispersion"] is not None:
+            mean = tc.add(tc.softplus(ly.feature_linear(h, layers["head"])), HEAD_FLOOR)
+            disp = tc.add(tc.softplus(ly.feature_linear(h, layers["dispersion"])), HEAD_FLOOR)
+            return ForecastOutput(mean=mean, dispersion=disp)
+        else:
             out = ly.feature_linear(h, layers["head"])
 
         if rev_state is not None:

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, reading
 
 MAGIC = b"MIXPACK"
 VERSION = 1
@@ -52,7 +52,8 @@ def save_params(path, params: Mapping[str, np.ndarray]) -> None:
 
 def load_params(path) -> dict[str, np.ndarray]:
     """Read a container written by :func:`save_params`."""
-    blob = Path(path).read_bytes()
+    with reading(path, FormatError):
+        blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 5 or blob[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: not a parameter container (bad magic)")
     pos = len(MAGIC)

@@ -86,37 +86,6 @@ class Tensor:
         bound = f", tape node {self.nid}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{bound})\n{self.data}"
 
-    # Operator sugar; all arithmetic is defined by the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 class Tape:
     """Append-only trace of operations for one differentiation pass."""

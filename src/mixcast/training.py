@@ -28,6 +28,12 @@ OBJECTIVES = ("mse", "nb_nll")
 # Validation improvements smaller than this are treated as ties.
 IMPROVEMENT_ATOL = 1e-12
 
+# Windows per eval-mode forward pass, bounding its memory.
+EVAL_CHUNK = 256
+
+# Adam moment decay rates and denominator floor.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 # ---------------------------------------------------------------------------
 # losses
@@ -91,24 +97,23 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place."""
     if set(grads) != set(params):
         raise ParameterError("adam_step: gradient names do not match parameter names")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +157,20 @@ class TrainHistory:
 
 def _loss_for(model: Forecaster, batch: WindowBatch, objective: str, mode: str,
               rng, params) -> Tensor:
-    cfg = model.config
-    out = model.forward(batch.history,
-                        batch.future if cfg.future_covariates else None,
-                        batch.static if cfg.static_features else None,
+    out = model.forward(batch.history, batch.future, batch.static,
                         mode=mode, rng=rng, params=params)
     if objective == "mse":
         return mse_loss(out.point, batch.target)
     return nb_nll_loss(out.mean, out.dispersion, batch.target)
 
 
-def dataset_loss(model: Forecaster, windows: WindowBatch, objective: str = "mse",
-                 batch_size: int = 256) -> float:
+def dataset_loss(model: Forecaster, windows: WindowBatch, objective: str = "mse") -> float:
     """Eval-mode loss over a whole window set, size-weighted over chunks."""
     if len(windows) == 0:
         raise ParameterError("dataset_loss: empty window set")
     total = 0.0
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows.subset(slice(lo, lo + batch_size))
+    for lo in range(0, len(windows), EVAL_CHUNK):
+        chunk = windows.subset(slice(lo, lo + EVAL_CHUNK))
         loss = _loss_for(model, chunk, objective, "eval", None, None)
         total += loss.item() * len(chunk)
     return total / len(windows)

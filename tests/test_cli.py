@@ -295,6 +295,65 @@ def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
 
 
+TRAIN = ["train", "--config", "exp.ini"]
+EVALUATE = ["evaluate", "--checkpoint", "ckpt", "--csv", "series.csv"]
+WITH_SCHEMA = EVALUATE + ["--schema", "schema.ini"]
+DIRECTORY = object()  # contents that make the file a directory
+MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
+    "config_no_section": ("exp.ini", b"seed = 1\n", TRAIN),
+    "config_repeated_section": ("exp.ini", b"[run]\nseed = 1\n[run]\nseed = 2\n", TRAIN),
+    "config_not_utf8": ("exp.ini", b"[run]\nseed = \xff\n", TRAIN),
+    "schema_no_section": ("schema.ini", b"y0 = target\n", WITH_SCHEMA),
+    "schema_not_utf8": ("schema.ini", b"[roles]\ny0 = \xff\n", WITH_SCHEMA),
+    "csv_missing": ("absent.csv", None, EVALUATE[:-1] + ["absent.csv"]),
+    "csv_directory": ("folder", DIRECTORY, EVALUATE[:-1] + ["folder"]),
+    "csv_not_utf8": ("latin.csv", b"y0,y1\n1,\xe9\n", EVALUATE[:-1] + ["latin.csv"]),
+    "hierarchy_missing": ("absent.json", None, EVALUATE + ["--hierarchy", "absent.json"]),
+    "hierarchy_directory": ("folder", DIRECTORY, EVALUATE + ["--hierarchy", "folder"]),
+    "hierarchy_not_utf8": ("h.json", b'{"levels": "\xff"}', EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_not_number": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]},
+                                          "weights": {"all": "heavy"}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_nan": (
+        "h.json", b'{"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]}, '
+                  b'"weights": {"all": NaN}}]}', EVALUATE + ["--hierarchy", "h.json"]),
+    "checkpoint_no_params": ("ckpt/params.bin", None, EVALUATE),
+}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("config_no_section", "exp.ini is not a valid INI file: File contains no section headers."),
+    ("config_repeated_section", "section 'run' already exists"),
+    ("config_not_utf8", "exp.ini is not UTF-8 text"),
+    ("schema_no_section", "schema.ini is not a valid INI file: File contains no section"),
+    ("schema_not_utf8", "schema.ini is not UTF-8 text"),
+    ("csv_missing", "cannot read absent.csv: No such file or directory"),
+    ("csv_directory", "cannot read folder: Is a directory"),
+    ("csv_not_utf8", "latin.csv is not UTF-8 text"),
+    ("hierarchy_missing", "cannot read absent.json: No such file or directory"),
+    ("hierarchy_directory", "cannot read folder: Is a directory"),
+    ("hierarchy_not_utf8", "h.json is not UTF-8 text"),
+    ("hierarchy_weight_not_number", "hierarchy weight is not a number"),
+    ("hierarchy_weight_nan", "level 'total': weights sum to nan, expected 1"),
+    ("checkpoint_no_params", "params.bin: No such file or directory"),
+])
+def test_malformed_input_exits_1(workdir, capsys, case, message):
+    broken_checkpoint(workdir, "none")
+    name, contents, argv = MALFORMED_INPUTS[case]
+    path = workdir / name
+    if contents is None:
+        path.unlink(missing_ok=True)
+    elif contents is DIRECTORY:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def test_unmodified_checkpoint_fixture_evaluates(workdir):
     ckpt = broken_checkpoint(workdir, "none")
     assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 0
@@ -389,6 +448,14 @@ def test_verify_theory_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "VIOLATION" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_theory_needs_a_trial(capsys, trials):
+    assert run_cli("verify-theory", "--trials", trials) == 1
+    out, err = capsys.readouterr()
+    assert "all checks passed" not in out
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 def test_verify_theory_corrupt_negative_control(capsys):

@@ -353,24 +353,32 @@ class TestMixerLayers:
         rng = make_rng(73)
         p = ly.MixerLayerParams(
             time=lin(4, 4, rng), time_norm=identity_norm(4, 3),
-            feat=fm_params(3, 5, 3, rng), feat_norm=identity_norm(4, 3),
+            feat=ly.CondFeatureMixParams(fm_params(3, 5, 3, rng), identity_norm(4, 3)),
         )
         x = rng.normal(size=(2, 4, 3))
         got = ly.mixer_layer(x, p)
         step = ly.time_mixing(Tensor(x), p.time, p.time_norm)
-        want = ly.feature_mixing(step, p.feat, p.feat_norm)
+        want = ly.feature_mixing(step, p.feat.joint, p.feat.joint_norm)
         np.testing.assert_array_equal(got.data, want.data)
 
-    def test_conditional_mixer_layer_composes(self):
+    def test_unknown_placement_rejected(self):
+        rng = make_rng(77)
+        x = rng.normal(size=(4, 3))
+        with pytest.raises(errors.ParameterError, match="placement"):
+            ly.time_mixing(x, lin(4, 4, rng), identity_norm(4, 3), placement="mid")
+        with pytest.raises(errors.ParameterError, match="placement"):
+            ly.feature_mixing(x, fm_params(3, 5, 3, rng), identity_norm(4, 3), placement="mid")
+
+    def test_mixer_layer_with_static_composes(self):
         rng = make_rng(74)
         cfm = ly.CondFeatureMixParams(
             joint=fm_params(3 + 5, 5, 5, rng), joint_norm=identity_norm(4, 5),
             static_mix=fm_params(2, 5, 5, rng), static_norm=identity_norm(4, 5),
         )
-        p = ly.CondMixerLayerParams(time=lin(4, 4, rng), time_norm=identity_norm(4, 3), cfm=cfm)
+        p = ly.MixerLayerParams(time=lin(4, 4, rng), time_norm=identity_norm(4, 3), feat=cfm)
         x = rng.normal(size=(4, 3))
         s = rng.normal(size=(1, 2))
-        got = ly.conditional_mixer_layer(x, s, p)
+        got = ly.mixer_layer(x, p, s)
         step = ly.time_mixing(Tensor(x), p.time, p.time_norm)
         want = ly.conditional_feature_mixing(step, Tensor(s), cfm)
         np.testing.assert_array_equal(got.data, want.data)

@@ -231,6 +231,26 @@ class TestFamilies:
         b = model.forward(x, mode="train", rng=make_rng(99)).point.data
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("extra", [
+        dict(family="linear"), dict(family="tmix_only", norm="batch2d"), dict(rev_in=True),
+        dict(family="tsmixer_ext", hist_covariates=1, future_covariates=2, static_features=3),
+        dict(family="tsmixer_ext", head="negative_binomial"),
+    ], ids=["linear", "tmix_only", "tsmixer", "tsmixer_ext", "nb_head"])
+    def test_one_window_forward_equals_its_batch_row(self, extra):
+        # evaluate scores its hierarchy holdout with the batch's last row
+        cfg = tiny_config(**extra)
+        model = md.Forecaster(cfg, seed=14)
+        rng = make_rng(15)
+        inputs = [rng.normal(size=(6, 8, cfg.input_channels)),
+                  rng.normal(size=(6, 4, cfg.future_covariates)),
+                  rng.normal(size=(6, 1, cfg.static_features))]
+        batched = model.forward(*inputs)
+        single = model.forward(*(a[-1:] for a in inputs))
+        for field in ("point", "mean", "dispersion"):
+            if getattr(batched, field) is not None:
+                np.testing.assert_array_equal(getattr(single, field).data,
+                                              getattr(batched, field).data[-1:])
+
 
 class TestResidualCollapse:
     def zero_mixing(self, model):
