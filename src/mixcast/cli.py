@@ -27,7 +27,8 @@ from . import data as dt
 from . import metrics as mt
 from . import models as md
 from . import training as tr
-from .errors import ConfigurationError, DataError, FormatError, MixcastError, NumericError
+from .errors import (ConfigurationError, DataError, FormatError, MixcastError, NumericError,
+                     reading)
 from .params_io import load_params, save_params
 
 _BUFFER_PREFIX = "buffer:"
@@ -75,7 +76,7 @@ class Experiment:
 
     seed: int
     out: Path
-    csv: Path
+    csv: Path | None
     schema: Path | None
     standardize: bool
     split: dt.SplitSpec
@@ -109,9 +110,12 @@ def _parse_int(raw: str, where: str) -> int:
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"{where} must be a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -143,36 +147,35 @@ def _parse_split(section: dict[str, str]) -> dt.SplitSpec:
     return spec
 
 
+def _parse_fields(cls, raw: dict[str, str], where: str, parse_str=str.strip) -> dict:
+    """The values of ``raw`` parsed by the types of ``cls``'s fields of the
+    same names; errors name a key as ``where + key``, and ``parse_str``
+    reads the ``str`` fields."""
+    parsers = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
+               "str": lambda value, _: parse_str(value)}
+    types = {f.name: f.type for f in fields(cls)}
+    return {key: parsers[types[key]](value, f"{where}{key}") for key, value in raw.items()}
+
+
 def load_experiment(path: Path | None, out_override: str | None = None) -> Experiment:
     raw = _merge_config(path)
     if out_override:
         raw["run"]["out"] = out_override
     seed = _parse_int(raw["run"]["seed"], "run.seed")
-    csv = raw["data"]["csv"].strip()
-    window = dt.WindowSpec(
-        lookback=_parse_int(raw["window"]["lookback"], "window.lookback"),
-        horizon=_parse_int(raw["window"]["horizon"], "window.horizon"),
-        stride=_parse_int(raw["window"]["stride"], "window.stride"),
-    )
+    window = dt.WindowSpec(**_parse_fields(dt.WindowSpec, raw["window"], "window."))
     window.validate()
-    train_cfg = tr.TrainConfig(
-        learning_rate=_parse_float(raw["train"]["learning_rate"], "train.learning_rate"),
-        max_epochs=_parse_int(raw["train"]["max_epochs"], "train.max_epochs"),
-        patience=_parse_int(raw["train"]["patience"], "train.patience"),
-        batch_size=_parse_int(raw["train"]["batch_size"], "train.batch_size"),
-        objective=raw["train"]["objective"].strip(),
-        seed=seed,
-    )
+    train_cfg = tr.TrainConfig(**_parse_fields(tr.TrainConfig, raw["train"], "train."), seed=seed)
     train_cfg.validate()
+    csv, schema = (raw["data"][key].strip() for key in ("csv", "schema"))
     return Experiment(
         seed=seed,
         out=Path(raw["run"]["out"]),
-        csv=Path(csv) if csv else Path(""),
-        schema=Path(raw["data"]["schema"]) if raw["data"]["schema"].strip() else None,
+        csv=Path(csv) if csv else None,
+        schema=Path(schema) if schema else None,
         standardize=_parse_bool(raw["data"]["standardize"], "data.standardize"),
         split=_parse_split(raw["split"]),
         window=window,
-        model=_parse_model(raw["model"], "", lambda value, where: value.strip()),
+        model=_parse_fields(md.ModelConfig, raw["model"], "model."),
         train=train_cfg,
         resolved=raw,
     )
@@ -194,14 +197,6 @@ def _model_config_for(frame: dt.SeriesFrame, exp: Experiment) -> md.ModelConfig:
                           hist_covariates=len(frame.columns_for("historical")),
                           future_covariates=len(frame.columns_for("future")),
                           static_features=len(frame.columns_for("static")))
-
-
-def _parse_model(raw: dict[str, str], where: str, parse_str) -> dict:
-    """``[model]`` values parsed by their ModelConfig field types; ``parse_str``
-    reads the ``str`` fields."""
-    parsers = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": parse_str}
-    types = {f.name: f.type for f in fields(md.ModelConfig)}
-    return {key: parsers[types[key]](value, f"{where}model.{key}") for key, value in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +264,8 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
         raise ConfigurationError(f"checkpoint {path} has no model.ini")
     parser = dt.read_ini(ini, ConfigurationError)
     raw = _read_section(parser, ini, "model", [f.name for f in fields(md.ModelConfig)])
-    cfg = md.ModelConfig(**_parse_model(raw, f"{ini}: ", lambda value, where: value.strip("'\"")))
+    cfg = md.ModelConfig(**_parse_fields(md.ModelConfig, raw, f"{ini}: model.",
+                                         lambda value: value.strip("'\"")))
     model = md.Forecaster(cfg, seed=0)
     params_path = ini.parent / "params.bin"
     blob = load_params(params_path)
@@ -299,30 +295,36 @@ def cmd_train(args) -> int:
     if args.print_config:
         print(_config_text(exp.resolved, exp.seed))
         return 0
-    if not str(exp.csv):
+    if exp.csv is None:
         raise ConfigurationError("data.csv must point at a training CSV")
     if exp.train.objective == "nb_nll" and exp.standardize:
         raise ConfigurationError(
             "objective nb_nll models non-negative counts; set data.standardize = false"
         )
+    out = exp.out
+    with reading(out, ConfigurationError, "write"):
+        out.mkdir(parents=True, exist_ok=True)
     schema = dt.load_schema(exp.schema) if exp.schema else None
     frame = dt.load_csv(exp.csv, schema)
     bounds = exp.split.bounds(frame.n_steps)
     scaler = None
     if exp.standardize:
         frame, scaler = dt.global_standardize(frame, train_rows=bounds[0][1])
+        for col in scaler.columns:  # model.ini lists them space-separated
+            if col.split() != [col]:
+                raise DataError(f"{exp.csv}: column {col!r} cannot be saved in model.ini; "
+                                "a column name must be non-empty and hold no whitespace")
     train_w, val_w, _ = dt.split_windows(frame, exp.split, exp.window)
     model = md.Forecaster(_model_config_for(frame, exp), seed=exp.seed)
     _, history = tr.train(model, train_w, val_w, exp.train)
 
-    out = exp.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(_config_text(exp.resolved, exp.seed))
-    save_checkpoint(out, model, scaler, exp.seed)
     hist_lines = [f"# {provenance(exp.seed)}", "epoch,train_loss,val_loss"]
     for rec in history.records:
         hist_lines.append(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}")
-    (out / "history.csv").write_text("\n".join(hist_lines) + "\n")
+    with reading(out, ConfigurationError, "write"):
+        (out / "config.ini").write_text(_config_text(exp.resolved, exp.seed))
+        save_checkpoint(out, model, scaler, exp.seed)
+        (out / "history.csv").write_text("\n".join(hist_lines) + "\n")
     print(f"trained {model.config.family}: best epoch {history.best_epoch}, "
           f"val loss {history.best_val_loss:.6g} ({history.stop_reason}); artifacts in {out}")
     return 0
@@ -377,7 +379,8 @@ def cmd_evaluate(args) -> int:
 
     report = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(report)
+        with reading(args.out, ConfigurationError, "write"):
+            Path(args.out).write_text(report)
     print(report, end="")
     return 0
 

@@ -84,7 +84,7 @@ class SeriesFrame:
 def read_ini(path, error: type[MixcastError]) -> configparser.ConfigParser:
     """Parse an INI file with case-sensitive keys; a missing, unreadable
     or malformed file raises ``error``."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is '%'
     parser.optionxform = str
     with reading(path, error), open(path, encoding="utf-8") as fh:
         try:
@@ -121,19 +121,21 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
     line_nums: list[int] = []
     with reading(path, DataError), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            if len(row) != len(header):
-                _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
-                raise DataError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-            line_nums.append(reader.line_num)
+        try:
+            for row in reader:
+                if not row or (row[0].lstrip().startswith("#")):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    continue
+                if len(row) != len(header):
+                    _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
+                    raise DataError(f"{path}: line {reader.line_num}: "
+                                    f"expected {len(header)} fields, got {len(row)}")
+                rows.append(row)
+                line_nums.append(reader.line_num)
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: no header row found")
     if not rows:
@@ -180,7 +182,7 @@ def _parse_cells(path, header: list[str], rows: list[list[str]],
 
 def save_csv(frame: SeriesFrame, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write a frame as CSV; ``header_lines`` become '#' comments on top."""
-    with open(path, "w", newline="") as fh:
+    with reading(path, ConfigurationError, "write"), open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)

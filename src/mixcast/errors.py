@@ -2,7 +2,7 @@
 
 Everything user-facing derives from MixcastError so the CLI can map
 "our" failures to exit code 1 and anything else to exit code 2.
-``reading`` does the same for an input file that cannot be read.
+``reading`` does the same for a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ class NumericError(MixcastError):
 
 
 @contextmanager
-def reading(path, error: type[MixcastError]):
-    """Raise ``error`` naming ``path`` when it cannot be opened or is not
-    UTF-8 text, so a bad input file is a user error rather than a crash."""
+def reading(path, error: type[MixcastError], action: str = "read"):
+    """Raise ``error`` naming ``path`` when it cannot be opened for
+    ``action`` ("read" or "write") or is not UTF-8 text, so a bad input or
+    output path is a user error rather than a crash."""
     try:
         yield
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise error(f"cannot {action} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc.reason}") from None

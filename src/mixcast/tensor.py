@@ -346,19 +346,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _join(np.asarray(out), ((a, vjp),))
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
-    axes = _norm_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims and axes is not None:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.data.shape).copy()
-
-    return _join(np.asarray(out), ((a, vjp),))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 

@@ -5,7 +5,9 @@ files can be asserted directly; training runs are kept tiny.
 """
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,12 +150,72 @@ def test_nb_objective_with_standardize_rejected(workdir, capsys):
     ("family = 'linear'", "family must be one of"),  # quotes are not stripped
 ])
 def test_experiment_model_values_are_typed(workdir, capsys, line, message):
+    assert_train_rejects_line(workdir, capsys, "model", line, message)
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("window", "lookback = x", "window.lookback must be an integer, got 'x'"),
+    ("window", "stride = 1.5", "window.stride must be an integer, got '1.5'"),
+    ("train", "learning_rate = fast", "train.learning_rate must be a number, got 'fast'"),
+    ("train", "patience = x", "train.patience must be an integer, got 'x'"),
+    ("run", "seed = x", "run.seed must be an integer, got 'x'"),
+    ("train", "learning_rate = nan", "train.learning_rate must be a finite number, got 'nan'"),
+    ("train", "learning_rate = inf", "train.learning_rate must be a finite number, got 'inf'"),
+    ("model", "dropout = nan", "model.dropout must be a finite number, got 'nan'"),
+    ("split", "fractions = nan 0.5 0.5", "split.fractions must be a finite number, got 'nan'"),
+])
+def test_experiment_values_are_typed(workdir, capsys, section, line, message):
+    assert_train_rejects_line(workdir, capsys, section, line, message)
+
+
+def assert_train_rejects_line(workdir, capsys, section, line, message):
+    """``line`` replaces its key's line in LINEAR_INI, or joins ``section``."""
     write_series(workdir / "series.csv")
-    (workdir / "exp.ini").write_text(LINEAR_INI.format(out="run1").replace("family = linear", line))
+    key = line.split(" = ")[0]
+    ini = "".join(kept for kept in LINEAR_INI.format(out="run1").splitlines(keepends=True)
+                  if not kept.startswith(f"{key} = "))
+    if f"[{section}]" not in ini:
+        ini += f"[{section}]\n"
+    (workdir / "exp.ini").write_text(ini.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     capsys.readouterr()
     assert run_cli("train", "--config", "exp.ini") == 1
+    assert_one_error(capsys, message)
+
+
+def assert_one_error(capsys, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+README_INI = re.search(r"A\ncomplete experiment file:\n\n```ini\n(.*?)```",
+                       (Path(__file__).parents[1] / "README.md").read_text(), re.S).group(1)
+
+
+def test_readme_experiment_file_loads(workdir):
+    (workdir / "exp.ini").write_text(README_INI)
+    exp = cli.load_experiment(workdir / "exp.ini")
+    assert exp.csv == Path("series.csv") and exp.schema is None
+    assert exp.model["norm_placement"] == "" and exp.train.objective == "mse"
+
+
+@pytest.mark.parametrize("column, message", [
+    ("cpu%", None),  # configparser would read '%' as interpolation syntax
+    ("cpu load", "column 'cpu load' cannot be saved in model.ini"),
+])
+def test_trained_checkpoint_loads_back(workdir, capsys, column, message):
+    write_series(workdir / "series.csv")
+    text = (workdir / "series.csv").read_text()
+    (workdir / "series.csv").write_text(text.replace("y0,", f"{column},"))
+    (workdir / "exp.ini").write_text(LINEAR_INI.format(out="runs/50%"))
+    capsys.readouterr()
+    if message is not None:
+        assert run_cli("train", "--config", "exp.ini") == 1
+        assert_one_error(capsys, message)
+        return
+    assert run_cli("train", "--config", "exp.ini") == 0
+    assert run_cli("evaluate", "--checkpoint", "runs/50%", "--csv", "series.csv") == 0
+    _, scaler = cli.load_checkpoint(workdir / "runs/50%")
+    assert scaler.columns == [column, "y1"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -291,13 +353,13 @@ def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
     ckpt = broken_checkpoint(workdir, case)
     capsys.readouterr()
     assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert_one_error(capsys, message)
 
 
 TRAIN = ["train", "--config", "exp.ini"]
 EVALUATE = ["evaluate", "--checkpoint", "ckpt", "--csv", "series.csv"]
 WITH_SCHEMA = EVALUATE + ["--schema", "schema.ini"]
+FORECAST = ["forecast"] + EVALUATE[1:]
 DIRECTORY = object()  # contents that make the file a directory
 MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     "config_no_section": ("exp.ini", b"seed = 1\n", TRAIN),
@@ -319,6 +381,14 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
         "h.json", b'{"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]}, '
                   b'"weights": {"all": NaN}}]}', EVALUATE + ["--hierarchy", "h.json"]),
     "checkpoint_no_params": ("ckpt/params.bin", None, EVALUATE),
+    "config_no_csv": ("exp.ini", b"[run]\nseed = 1\n", TRAIN),
+    "csv_cell_too_large": ("big.csv", b"y0,y1\n1," + b"2" * 200_000 + b"\n",
+                           EVALUATE[:-1] + ["big.csv"]),
+    "evaluate_out_directory": ("adir", DIRECTORY, EVALUATE + ["--out", "adir"]),
+    "forecast_out_no_parent": ("no/such/fc.csv", None, FORECAST + ["--out", "no/such/fc.csv"]),
+    "train_out_existing_file": (
+        "exp.ini", b"[run]\nout = series.csv\n[data]\ncsv = series.csv\n"
+                   b"[window]\nlookback = 14\nhorizon = 7\n[train]\nmax_epochs = 1\n", TRAIN),
 }
 
 
@@ -337,6 +407,11 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     ("hierarchy_weight_not_number", "hierarchy weight is not a number"),
     ("hierarchy_weight_nan", "level 'total': weights sum to nan, expected 1"),
     ("checkpoint_no_params", "params.bin: No such file or directory"),
+    ("config_no_csv", "data.csv must point at a training CSV"),
+    ("csv_cell_too_large", "big.csv: line 2: field larger than field limit (131072)"),
+    ("evaluate_out_directory", "cannot write adir: Is a directory"),
+    ("forecast_out_no_parent", "cannot write no/such/fc.csv: No such file or directory"),
+    ("train_out_existing_file", "cannot write series.csv: File exists"),
 ])
 def test_malformed_input_exits_1(workdir, capsys, case, message):
     broken_checkpoint(workdir, "none")
@@ -350,8 +425,7 @@ def test_malformed_input_exits_1(workdir, capsys, case, message):
         path.write_bytes(contents)
     capsys.readouterr()
     assert run_cli(*argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert_one_error(capsys, message)
 
 
 def test_unmodified_checkpoint_fixture_evaluates(workdir):

@@ -178,15 +178,15 @@ class TestRevIn:
             ly.rev_in_denormalize(np.zeros((2, 4, 2)), state)
 
     def test_statistics_are_detached(self):
-        # Gradient treats mean/std as constants: d(sum(xn * r))/dx == r / std.
+        # Gradient treats mean/std as constants: d(mean(xn * r))/dx == r / std / r.size.
         x = make_rng(54).normal(size=(2, 6, 3))
         r = make_rng(55).normal(size=(2, 6, 3))
         tape = Tape()
         xb = tape.leaf(x)
         xn, state = ly.rev_in_normalize(xb)
-        loss = tc.tensor_sum(tc.mul(xn, Tensor(r)))
+        loss = tc.mean(tc.mul(xn, Tensor(r)))
         grads = tc.backward(tape, loss)
-        np.testing.assert_allclose(grads[xb.nid].data, r / state.std, rtol=1e-12)
+        np.testing.assert_allclose(grads[xb.nid].data, r / state.std / r.size, rtol=1e-12)
 
 
 class TestTimeMixing:

@@ -1,0 +1,72 @@
+"""Property-based tests (Hypothesis) for the on-disk formats.
+
+Example counts are bounded and the search is derandomized, so the suite
+stays fast and every run tries the same inputs.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mixcast import cli
+from mixcast import data as dt
+from mixcast import models as md
+from mixcast.errors import MixcastError
+from mixcast.params_io import load_params, save_params
+
+BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
+
+tensors = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                     elements=st.floats(allow_nan=True, allow_infinity=True))
+names = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@BOUNDED
+@given(st.dictionaries(names, tensors, max_size=5))
+def test_params_round_trip_exactly(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        save_params(path, params)
+        loaded = load_params(path)
+    assert sorted(loaded) == sorted(params)
+    for name, arr in params.items():
+        assert loaded[name].shape == arr.shape, name
+        assert loaded[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A valid checkpoint directory and the bytes of its model.ini."""
+    directory = tmp_path_factory.mktemp("checkpoint")
+    cfg = md.ModelConfig(family="tsmixer_ext", lookback=6, horizon=3, targets=2,
+                         hist_covariates=1, static_features=1, hidden=4, dropout=0.25)
+    scaler = dt.Standardizer(["y0", "y1", "h", "s"], np.array([0.5, -0.5, 1.0, 2.0]),
+                             np.array([2.0, 3.0, 0.5, 1.0]))
+    cli.save_checkpoint(directory, md.Forecaster(cfg, seed=1), scaler, seed=1)
+    return directory, (directory / "model.ini").read_bytes()
+
+
+# Bytes that mean something to an INI reader, tried alongside arbitrary ones.
+INI_BYTES = st.sampled_from(b"%$[]=:;#'\"\n\r\t -.0179aeEfnT")
+
+
+@settings(BOUNDED, max_examples=400)
+@given(data=st.data())
+def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
+    directory, ini = checkpoint
+    cut = data.draw(st.integers(0, len(ini) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        mutant = ini[:cut]
+    else:
+        byte = data.draw(st.one_of(INI_BYTES, st.integers(0, 255)), label="byte")
+        mutant = ini[:cut] + bytes([byte]) + ini[cut + 1:]
+    (directory / "mutant.ini").write_bytes(mutant)  # loads next to the valid params.bin
+    try:
+        cli.load_checkpoint(directory / "mutant.ini")
+    except MixcastError:
+        pass
