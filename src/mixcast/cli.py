@@ -575,28 +575,26 @@ def main(argv=None) -> int:
         return args.fn(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        _write_error_log(args, exc)
+        _write_error_log(args)
         return 2
     except MixcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error_log(args, exc)
+        _write_error_log(args)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort internal error
         print(f"internal error: {exc}", file=sys.stderr)
-        _write_error_log(args, exc)
+        _write_error_log(args)
         return 2
 
 
-def _write_error_log(args, exc: Exception) -> None:
+def _write_error_log(args) -> None:
     out = getattr(args, "out", None)
+    if not out:
+        return
+    log_dir = Path(out) if Path(out).suffix == "" else Path(out).parent
     try:
-        if out:
-            out = Path(out)
-            log_dir = out if out.suffix == "" else out.parent
-            log_dir.mkdir(parents=True, exist_ok=True)
-            (log_dir / "error.log").write_text(
-                "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-            )
+        if log_dir.is_dir():  # a failed run creates no directory the user did not ask for
+            (log_dir / "error.log").write_text(traceback.format_exc())  # of the handled error
     except OSError:
         pass  # the diagnostic already went to stderr
 

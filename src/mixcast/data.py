@@ -138,6 +138,9 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: no header row found")
+    if len(set(header)) < len(header):
+        repeated = next(col for i, col in enumerate(header) if col in header[:i])
+        raise DataError(f"{path}: duplicate column name {repeated!r}")
     if not rows:
         raise DataError(f"{path}: no data rows found")
     # numpy converts str cells with Python's float(), whitespace included,

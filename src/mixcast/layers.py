@@ -134,11 +134,6 @@ def norm_stats_init(cols: int, per_feature: bool) -> tuple[np.ndarray, np.ndarra
     return np.zeros(shape), np.ones(shape)
 
 
-def _standardize(d: Tensor, v) -> Tensor:
-    """Centered values ``d`` over their deviation, floored at VAR_FLOOR."""
-    return tc.div(d, tc.sqrt(tc.clip_min(v, VAR_FLOOR)))
-
-
 def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
     """Normalize a (batch x) rows x cols tensor and apply the affine.
 
@@ -164,7 +159,8 @@ def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
     if norm.kind == "identity":
         xn = x
     elif batch and mode == "eval":
-        xn = _standardize(tc.sub(x, Tensor(norm.running_mean)), Tensor(norm.running_var))
+        std = np.sqrt(np.maximum(norm.running_var, VAR_FLOOR))
+        xn = tc.div(tc.sub(x, Tensor(norm.running_mean)), Tensor(std))
     else:  # statistics of this input: per sample (layer) or per batch
         if batch and (x.ndim != 3 or x.shape[0] < 2):
             raise ConfigurationError(
@@ -172,13 +168,10 @@ def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
                 f"got input shape {x.shape} (use kind='layer' for single samples)"
             )
         axes = ((0, 1) if norm.per_feature else (0, 1, 2)) if batch else (-2, -1)
-        m = tc.mean(x, axis=axes, keepdims=True)
-        d = tc.sub(x, m)
-        v = tc.mean(tc.mul(d, d), axis=axes, keepdims=True)
-        xn = _standardize(d, v)
+        xn, m, v = tc.standardize(x, axes, VAR_FLOOR)
         if batch:  # running copies blend detached batch statistics
             for run, stat in ((norm.running_mean, m), (norm.running_var, v)):
-                run[...] = (1.0 - MOMENTUM) * run + MOMENTUM * stat.data.reshape(run.shape)
+                run[...] = (1.0 - MOMENTUM) * run + MOMENTUM * stat.reshape(run.shape)
     return tc.add(tc.mul(xn, scale), shift)
 
 

@@ -346,6 +346,26 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _join(np.asarray(out), ((a, vjp),))
 
 
+def standardize(a, axes, floor: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """(a - mean) / sqrt(max(var, floor)) over ``axes`` as one node, plus the
+    mean and the unfloored variance (axes kept) as plain arrays.  The VJP is
+    closed form; no gradient flows through the variance where var <= floor."""
+    a = _lift(a)
+    axes = _norm_axes(axes, a.ndim)
+    m = a.data.mean(axis=axes, keepdims=True)
+    d = a.data - m
+    v = (d * d).mean(axis=axes, keepdims=True)
+    std = np.sqrt(np.maximum(v, float(floor)))
+    out = d / std
+    _require_finite(out, "standardize")
+
+    def vjp(g):
+        gy = (g * out).mean(axis=axes, keepdims=True) * (v > floor)
+        return (g - g.mean(axis=axes, keepdims=True) - out * gy) / std
+
+    return _join(out, ((a, vjp),)), m, v
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -355,20 +375,6 @@ def relu(a) -> Tensor:
     a = _lift(a)
     out = np.maximum(a.data, 0.0)
     return _join(out, ((a, lambda g: g * (a.data > 0.0)),))
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """max(x, floor); gradient passes through only where x > floor."""
-    a = _lift(a)
-    out = np.maximum(a.data, float(floor))
-    return _join(out, ((a, lambda g: g * (a.data > floor)),))
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    out = np.sqrt(a.data)
-    _require_finite(out, "sqrt")
-    return _join(out, ((a, lambda g: g * 0.5 / out),))
 
 
 def log(a) -> Tensor:

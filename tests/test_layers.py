@@ -142,14 +142,16 @@ class TestNorm2d:
             norm = ly.NormParams("layer", ps[1], ps[2])
             return tc.mean(tc.mul(ly.norm2d(ps[0], norm), Tensor(probe)))
 
-        def f_batch(ps):
-            rm, rv = ly.norm_stats_init(2, False)
-            norm = ly.NormParams("batch2d", ps[1], ps[2], running_mean=rm, running_var=rv)
+        def f_batch(ps, per_feature=False):
+            rm, rv = ly.norm_stats_init(2, per_feature)
+            norm = ly.NormParams("batch2d", ps[1], ps[2], running_mean=rm, running_var=rv,
+                                 per_feature=per_feature)
             return tc.mean(tc.mul(ly.norm2d(ps[0], norm, mode="train"), Tensor(probe)))
 
         probe = make_rng(50).normal(size=(3, 4, 2))
         assert tc.grad_check(f_layer, [x, scale, shift]) < 1e-4
         assert tc.grad_check(f_batch, [x, scale, shift]) < 1e-4
+        assert tc.grad_check(lambda ps: f_batch(ps, per_feature=True), [x, scale, shift]) < 1e-4
 
 
 class TestRevIn:

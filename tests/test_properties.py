@@ -1,4 +1,5 @@
-"""Property-based tests (Hypothesis) for the on-disk formats.
+"""Property-based tests (Hypothesis) for the on-disk formats and for
+tape gradients.
 
 Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
@@ -16,7 +17,9 @@ from hypothesis.extra import numpy as hnp
 from mixcast import cli
 from mixcast import data as dt
 from mixcast import models as md
+from mixcast import tensor as tc
 from mixcast.errors import MixcastError
+from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
 
 BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
@@ -70,3 +73,23 @@ def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
         cli.load_checkpoint(directory / "mutant.ini")
     except MixcastError:
         pass
+
+
+@settings(BOUNDED, max_examples=100)
+@given(data=st.data())
+def test_standardize_passes_grad_check(data):
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=4),
+                      label="shape")
+    ndim = len(shape)
+    axes = data.draw(st.lists(st.integers(-ndim, ndim - 1), min_size=1, max_size=ndim,
+                              unique_by=lambda a: a % ndim), label="axes")
+    # Values on a grid of quarters: a slice is either exactly constant (its
+    # variance floored) or spread far wider than the difference step.
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(lambda k: k / 4)),
+                  label="x")
+    probe = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1, 1)), label="probe")
+
+    def f(ps):
+        return tc.mean(tc.mul(tc.standardize(ps[0], axes, VAR_FLOOR)[0], tc.Tensor(probe)))
+
+    assert tc.grad_check(f, [x]) < 1e-4

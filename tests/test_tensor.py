@@ -11,6 +11,8 @@ from mixcast import tensor as tc
 from mixcast.rng import make_rng
 from mixcast.tensor import Tape, Tensor
 
+FLOOR = 1e-8  # variance floor of the standardize tests
+
 
 def loop_matmul(a, b):
     """Triple-loop reference product, no numpy dispatch."""
@@ -262,13 +264,14 @@ class TestGradCheck:
 
         assert tc.grad_check(f, [x, bias, scale]) < 1e-4
 
-    def test_division_and_sqrt(self):
+    def test_division(self):
         rng = make_rng(24)
         x = rng.uniform(0.5, 2.0, size=(3, 3))
         d = rng.uniform(1.0, 3.0, size=(1, 3))
 
         def f(ps):
-            return tc.mean(tc.sqrt(tc.div(ps[0], ps[1])))
+            q = tc.div(ps[0], ps[1])
+            return tc.mean(tc.mul(q, q))
 
         assert tc.grad_check(f, [x, d]) < 1e-4
 
@@ -313,11 +316,15 @@ class TestGradCheck:
 
         assert tc.grad_check(f, [a, s]) < 1e-4
 
-    def test_clip_min_passthrough_region(self):
-        x = make_rng(29).uniform(0.5, 1.5, size=(3, 3))
+    def test_standardize_variance_floor_branch(self):
+        x = make_rng(29).normal(size=(3, 4, 2))
+        x[1] = 0.75 + 1e-5 * x[1]  # a nearly constant sample: its variance is floored
+        probe = make_rng(32).normal(size=x.shape)
+        _, _, v = tc.standardize(x, (-2, -1), FLOOR)
+        assert v[1] <= FLOOR < v[0].min()
 
         def f(ps):
-            return tc.mean(tc.clip_min(ps[0], 1e-8))
+            return tc.mean(tc.mul(tc.standardize(ps[0], (-2, -1), FLOOR)[0], Tensor(probe)))
 
         assert tc.grad_check(f, [x]) < 1e-4
 
@@ -329,6 +336,49 @@ class TestGradCheck:
             return tc.mean(tc.mul(out, out))
 
         assert tc.grad_check(f, [x]) < 1e-4
+
+
+NORM_AXES = [(0, 1, 2), (0, 1), (-2, -1)]  # batch2d joint, batch2d per feature, layer
+
+
+def composite_standardize(x, axes, floor):
+    """The seven-op normalization (mean, sub, mul, mean, floor, sqrt, div)
+    that ``tc.standardize`` replaces, in plain numpy."""
+    m = x.mean(axis=axes, keepdims=True)
+    d = x - m
+    v = (d * d).mean(axis=axes, keepdims=True)
+    return d / np.sqrt(np.maximum(v, floor)), m, v
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("axes", NORM_AXES)
+    def test_forward_equals_composite(self, axes):
+        x = make_rng(33).normal(loc=2.0, scale=3.0, size=(4, 5, 3))
+        x[:, :, 1] = -1.5  # a constant feature, floored under per-feature axes
+        out, m, v = tc.standardize(x, axes, FLOOR)
+        for got, want in zip((out.data, m, v), composite_standardize(x, axes, FLOOR)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("axes", NORM_AXES)
+    def test_grad_check(self, axes):
+        x = make_rng(34).normal(loc=1.0, scale=2.0, size=(3, 4, 2))
+        probe = make_rng(35).normal(size=x.shape)
+
+        def f(ps):
+            return tc.mean(tc.mul(tc.standardize(ps[0], axes, FLOOR)[0], Tensor(probe)))
+
+        assert tc.grad_check(f, [x]) < 1e-4
+
+    def test_records_one_tape_node(self):
+        tape = Tape()
+        out, _, _ = tc.standardize(tape.leaf(make_rng(36).normal(size=(3, 4))), (0, 1), FLOOR)
+        assert out.nid == 1 and len(tape) == 2
+
+    def test_non_finite_input_raises(self):
+        x = np.ones((2, 3))
+        x[0, 1] = np.nan
+        with pytest.raises(errors.NumericError, match="standardize"):
+            tc.standardize(x, (-1,), FLOOR)
 
 
 def broadcast_matmul_grads(a, b, g):
