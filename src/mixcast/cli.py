@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default=None, help="override the output directory")
     p_train.add_argument("--print-config", action="store_true",
                          help="print the fully resolved configuration and exit")
-    p_train.set_defaults(fn=cmd_train)
+    p_train.set_defaults(fn=cmd_train, out_is_dir=True)
 
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on a CSV")
     p_eval.add_argument("--checkpoint", type=Path, required=True)
@@ -532,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--hierarchy", type=Path, default=None,
                         help="JSON hierarchy spec enabling the weighted scaled score")
     p_eval.add_argument("--out", type=Path, default=None, help="also write the report here")
-    p_eval.set_defaults(fn=cmd_evaluate)
+    p_eval.set_defaults(fn=cmd_evaluate, out_is_dir=False)
 
     p_fc = sub.add_parser("forecast", help="forecast past the end of a CSV")
     p_fc.add_argument("--checkpoint", type=Path, required=True)
     p_fc.add_argument("--csv", type=Path, required=True)
     p_fc.add_argument("--schema", type=Path, default=None)
     p_fc.add_argument("--out", type=Path, required=True)
-    p_fc.set_defaults(fn=cmd_forecast)
+    p_fc.set_defaults(fn=cmd_forecast, out_is_dir=False)
 
     p_synth = sub.add_parser("synth", help="generate synthetic series")
     p_synth.add_argument("--kind", choices=("periodic", "affine", "trend", "crossvariate"),
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--noise", type=float, default=0.05)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", type=Path, required=True)
-    p_synth.set_defaults(fn=cmd_synth)
+    p_synth.set_defaults(fn=cmd_synth, out_is_dir=False)
 
     p_vt = sub.add_parser("verify-theory",
                           help="check the closed-form solutions against fresh signals")
@@ -588,10 +588,13 @@ def main(argv=None) -> int:
 
 
 def _write_error_log(args) -> None:
+    """Save the traceback to ``error.log`` in the command's run directory
+    (``train``) or next to its output file (``evaluate``, ``forecast``,
+    ``synth``); a command without ``--out`` writes none."""
     out = getattr(args, "out", None)
     if not out:
         return
-    log_dir = Path(out) if Path(out).suffix == "" else Path(out).parent
+    log_dir = Path(out) if args.out_is_dir else Path(out).parent
     try:
         if log_dir.is_dir():  # a failed run creates no directory the user did not ask for
             (log_dir / "error.log").write_text(traceback.format_exc())  # of the handled error

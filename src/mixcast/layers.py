@@ -188,19 +188,13 @@ class RevInState:
 
 
 def rev_in_normalize(x) -> tuple[Tensor, RevInState]:
-    """Standardize each sample's channels over time; keep the statistics.
-
-    The statistics are constants of the forward pass (no gradient flows
-    into them), which is what makes the transform exactly reversible.
-    """
+    """Standardize each sample's channels over time as one ``tc.standardize``
+    node, and keep the statistics that ``rev_in_denormalize`` reverses it by."""
     x = _lift(x)
     if x.ndim != 3:
         raise DimensionError(f"rev_in_normalize expects batch x rows x cols, got shape {x.shape}")
-    m = x.data.mean(axis=1, keepdims=True)
-    v = x.data.var(axis=1, keepdims=True)
-    std = np.sqrt(np.maximum(v, VAR_FLOOR))
-    out = tc.div(tc.sub(x, Tensor(m)), Tensor(std))
-    return out, RevInState(mean=m, std=std)
+    out, m, v = tc.standardize(x, (1,), VAR_FLOOR)
+    return out, RevInState(mean=m, std=np.sqrt(np.maximum(v, VAR_FLOOR)))
 
 
 def rev_in_denormalize(y, state: RevInState) -> Tensor:

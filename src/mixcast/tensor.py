@@ -5,6 +5,10 @@ define-by-run: a Tape records one node per operation whose inputs are
 bound to it, each node holding (parent id, vector-Jacobian product)
 closures.  ``backward`` walks the records in reverse order from a scalar
 loss, accumulating adjoints additively, and returns a gradient per leaf.
+It consumes the tape: each node's closures, and with them the operands
+they hold, are dropped as the walk passes the node, so the forward's
+intermediates are freed during the pass and no reference cycle outlives
+it.  A second ``backward`` on the same tape raises ``ContractError``.
 
 Operations are free functions.  They accept Tensors, numpy arrays, or
 Python scalars; non-Tensor inputs are lifted to constants.  When no
@@ -93,8 +97,9 @@ class Tape:
     __slots__ = ("_parents", "_leaves")
 
     def __init__(self):
-        # _parents[nid] is a tuple of (parent nid, vjp closure) pairs.
-        self._parents: list[tuple[tuple[int, Callable], ...]] = []
+        # _parents[nid] is a tuple of (parent nid, vjp closure) pairs, or
+        # None once ``backward`` has used it.
+        self._parents: list[tuple[tuple[int, Callable], ...] | None] = []
         # leaf nid -> shape, used to zero-fill gradients of unused leaves.
         self._leaves: dict[int, tuple[int, ...]] = {}
 
@@ -111,15 +116,6 @@ class Tape:
         nid = self._push(())
         self._leaves[nid] = t.data.shape
         return Tensor._wrap(t.data, self, nid)
-
-    def release(self) -> None:
-        """Drop the recorded closures once gradients are taken.
-
-        They hold the operands' Tensors, which point back at this tape, so
-        without this every pass is a reference cycle that only the cyclic
-        garbage collector frees.
-        """
-        self._parents.clear()
 
 
 def _lift(x) -> Tensor:
@@ -324,26 +320,17 @@ def expand_rows(a, n: int) -> Tensor:
 # reductions
 
 
-def _norm_axes(axis, ndim: int):
-    if axis is None:
-        return None
+def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(sorted(a % ndim for a in axis))
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """Mean over every element, as a scalar."""
     a = _lift(a)
-    axes = _norm_axes(axis, a.ndim)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-    count = a.size / max(out.size, 1)
-
-    def vjp(g):
-        if not keepdims and axes is not None:
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g / count, a.data.shape)
-
-    return _join(np.asarray(out), ((a, vjp),))
+    out = a.data.mean()
+    return _join(np.asarray(out), ((a, lambda g: np.broadcast_to(g / a.size, a.data.shape)),))
 
 
 def standardize(a, axes, floor: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -428,19 +415,24 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Accumulate d(loss)/d(leaf) for every leaf bound to ``tape``.
 
     ``loss`` must be a scalar recorded on ``tape``.  Unused leaves get
-    zero gradients of their own shape.
+    zero gradients of their own shape.  Each node's entry is blanked as the
+    walk reaches it, so the tape keeps its length but serves one pass only.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape or loss.nid is None:
         raise ContractError("backward: loss is not a node of this tape")
     if loss.data.ndim != 0:
         raise ContractError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
-    adjoint: list[np.ndarray | None] = [None] * len(tape)
+    records = tape._parents
+    if records[loss.nid] is None:
+        raise ContractError("backward: this tape has already been differentiated")
+    adjoint: list[np.ndarray | None] = [None] * len(records)
     adjoint[loss.nid] = np.ones((), dtype=np.float64)
-    for nid in range(loss.nid, -1, -1):
+    for nid in range(len(records) - 1, -1, -1):
+        entry, records[nid] = records[nid], None
         g = adjoint[nid]
         if g is None:
             continue
-        for pid, vjp in tape._parents[nid]:
+        for pid, vjp in entry:
             contrib = vjp(g)
             adjoint[pid] = contrib if adjoint[pid] is None else adjoint[pid] + contrib
     grads: dict[int, Tensor] = {}

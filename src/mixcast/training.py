@@ -223,7 +223,6 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
             if not np.isfinite(value):
                 raise NumericError(f"training loss went non-finite at epoch {epoch}, batch {bi}")
             grads = tc.backward(tape, loss)
-            tape.release()
             adam_step(model.params, {k: grads[t.nid].data for k, t in bound.items()},
                       opt, config.learning_rate)
             epoch_loss += value * len(batch)

@@ -232,6 +232,20 @@ def test_divergent_training_exits_2_and_logs(workdir, capsys):
     assert "non-finite" in (workdir / "boom" / "error.log").read_text()
 
 
+@pytest.mark.parametrize("argv, log", [
+    (("train", "--config", "exp.ini", "--out", "runs/v1.2"), "runs/v1.2/error.log"),
+    (("evaluate", "--checkpoint", "runs/v1.2", "--csv", "missing.csv",
+      "--out", "runs/report"), "runs/error.log"),
+], ids=["train_in_run_dir", "evaluate_next_to_report"])
+def test_error_log_goes_where_the_command_writes(workdir, capsys, argv, log):
+    (workdir / "runs").mkdir()
+    (workdir / "exp.ini").write_text("[data]\ncsv = missing.csv\n")
+    assert run_cli(*argv) == 1
+    message = capsys.readouterr().err.removeprefix("error: ").strip()
+    assert message in (workdir / log).read_text()
+    assert sorted(p.relative_to(workdir).as_posix() for p in workdir.rglob("error.log")) == [log]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

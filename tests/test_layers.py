@@ -179,16 +179,24 @@ class TestRevIn:
         with pytest.raises(errors.StateError):
             ly.rev_in_denormalize(np.zeros((2, 4, 2)), state)
 
-    def test_statistics_are_detached(self):
-        # Gradient treats mean/std as constants: d(mean(xn * r))/dx == r / std / r.size.
+    def test_is_one_standardize_node(self):
+        # A taped input is differentiated as tc.standardize over time,
+        # statistics included; a model's history is data, so no model tapes it.
         x = make_rng(54).normal(size=(2, 6, 3))
+        x[1, :, 2] = 4.0  # a constant channel: its variance is floored
         r = make_rng(55).normal(size=(2, 6, 3))
         tape = Tape()
-        xb = tape.leaf(x)
-        xn, state = ly.rev_in_normalize(xb)
-        loss = tc.mean(tc.mul(xn, Tensor(r)))
-        grads = tc.backward(tape, loss)
-        np.testing.assert_allclose(grads[xb.nid].data, r / state.std / r.size, rtol=1e-12)
+        xn, state = ly.rev_in_normalize(tape.leaf(x))
+        assert len(tape) == 2
+        out, m, v = tc.standardize(x, (1,), ly.VAR_FLOOR)
+        np.testing.assert_array_equal(xn.data, out.data)
+        np.testing.assert_array_equal(state.mean, m)
+        np.testing.assert_array_equal(state.std, np.sqrt(np.maximum(v, ly.VAR_FLOOR)))
+
+        def f(ps):
+            return tc.mean(tc.mul(ly.rev_in_normalize(ps[0])[0], Tensor(r)))
+
+        assert tc.grad_check(f, [x]) < 1e-4
 
 
 class TestTimeMixing:

@@ -1,5 +1,5 @@
-"""Property-based tests (Hypothesis) for the on-disk formats and for
-tape gradients.
+"""Property-based tests (Hypothesis) for the on-disk formats, the CSV
+reader and tape gradients.
 
 Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
@@ -18,7 +18,7 @@ from mixcast import cli
 from mixcast import data as dt
 from mixcast import models as md
 from mixcast import tensor as tc
-from mixcast.errors import MixcastError
+from mixcast.errors import DataError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
 
@@ -73,6 +73,40 @@ def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
         cli.load_checkpoint(directory / "mutant.ini")
     except MixcastError:
         pass
+
+
+# Pieces of CSV text, with the bytes a reader can trip on: NUL, a BOM,
+# quotes, comment marks, bad UTF-8 and non-finite numbers.
+CSV_PIECES = st.one_of(st.sampled_from([b"y0", b",", b"\n", b"\r\n", b"-2.5", b"1e3", b"nan",
+                                        b"inf", b'"', b"#", b" ", b"\x00", b"\xef\xbb\xbf",
+                                        b"\xff", b"x"]),
+                       st.binary(max_size=2))
+CELLS = st.sampled_from([b"0", b"1.5", b"-3", b"2e-1"])
+
+
+@settings(BOUNDED, max_examples=300)
+@given(data=st.data())
+def test_load_csv_returns_a_frame_or_raises_data_error(data):
+    # Arbitrary bytes, or a valid two-column CSV with up to three pieces
+    # written over it.
+    if data.draw(st.booleans(), label="arbitrary"):
+        raw = data.draw(st.binary(max_size=64), label="raw")
+    else:
+        rows = data.draw(st.lists(st.tuples(CELLS, CELLS), max_size=4), label="rows")
+        raw = b"y0,y1\n" + b"".join(b"%s,%s\n" % row for row in rows)
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            raw = raw[:at] + data.draw(CSV_PIECES, label="piece") + raw[at + cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(raw)
+        try:
+            frame = dt.load_csv(path)
+        except DataError:
+            return
+    assert frame.values.shape[1] == len(frame.columns)
+    assert np.all(np.isfinite(frame.values))
 
 
 @settings(BOUNDED, max_examples=100)
