@@ -355,9 +355,9 @@ def cmd_evaluate(args) -> int:
     if scaler is not None:
         pred = scaler.invert(pred, target_cols)
     idx = raw_frame.indices_for("target")
-    truth = dt.window_view(raw_frame.values[cfg.lookback:, idx], 1, len(windows), cfg.horizon)
-    mse = float(np.mean((pred - truth) ** 2))
-    mae = tr.mae_metric(pred, truth)
+    truth = dt.window_view(raw_frame.values[cfg.lookback:], idx, 1, len(windows), cfg.horizon)
+    err = pred - truth
+    mse, mae = float(np.mean(err ** 2)), float(np.mean(np.abs(err)))
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
              f"mse: {mse!r}", f"mae: {mae!r}"]
 
@@ -445,6 +445,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _final_horizon(frame: dt.SeriesFrame, w: np.ndarray, b: np.ndarray):
+    """Linear forecast (weights ``w``, bias ``b``) of the final horizon of the
+    frame's first column from the lookback before it, and the actual values."""
+    horizon, lookback = w.shape
+    hist = frame.values[-horizon - lookback : -horizon][None, :, :]
+    return md.forward_linear(hist, w, b).data[0, :, 0], frame.values[-horizon:, 0]
+
+
 def cmd_verify_theory(args) -> int:
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
@@ -458,17 +466,12 @@ def cmd_verify_theory(args) -> int:
         sub_seed = int(rng_master.integers(1 << 30))
 
         # exact solution on a purely periodic signal
-        frame = dt.synth_periodic(period, lookback + horizon + 40, seed=sub_seed,
-                                  kind="template")
         w, b = md.construct_periodic_solution(period, lookback, horizon)
         if args.corrupt:
             w = w.copy()
             w[0, 0] += 0.01
-        series = frame.values
-        start = series.shape[0] - lookback - horizon
-        hist = series[start : start + lookback][None, :, :]
-        targ = series[start + lookback :][:, 0]
-        pred = md.forward_linear(hist, w, b).data[0, :, 0]
+        pred, targ = _final_horizon(dt.synth_periodic(period, lookback + horizon + 40,
+                                                      seed=sub_seed, kind="template"), w, b)
         err = float(np.max(np.abs(pred - targ)))
         worst_periodic = max(worst_periodic, err)
         if err > 1e-9:
@@ -477,13 +480,9 @@ def cmd_verify_theory(args) -> int:
 
         # bounded error under a Lipschitz trend
         K = float(rng_master.uniform(0.0, 1.5))
-        tframe = dt.synth_periodic_plus_trend(period, lookback + horizon + 40,
-                                              slope_limit=K, seed=sub_seed)
         w2, b2 = md.construct_periodic_plus_trend_solution(period, lookback, horizon)
-        tseries = tframe.values
-        hist2 = tseries[start : start + lookback][None, :, :]
-        targ2 = tseries[start + lookback :][:, 0]
-        pred2 = md.forward_linear(hist2, w2, b2).data[0, :, 0]
+        pred2, targ2 = _final_horizon(dt.synth_periodic_plus_trend(
+            period, lookback + horizon + 40, slope_limit=K, seed=sub_seed), w2, b2)
         steps = np.arange(1, horizon + 1)
         bound = K * (steps + np.minimum(steps, period))
         excess = np.abs(pred2 - targ2) - bound

@@ -11,9 +11,10 @@ lookback only), ``future`` (known over the horizon too), ``static``
     static   N x 1        x statics
     target   N x horizon  x targets
 
-These are read-only strided views onto a copy of each role's columns, so
-windowing costs one pass over the frame however much the windows
-overlap; indexing a batch with an index array makes the only full copy.
+These are read-only strided views onto a frozen copy of each role's
+columns, so windowing costs one pass over the frame however much the
+windows overlap, and a ``Tensor`` shares them instead of copying them.
+Indexing a batch with an index array makes the only full copy.
 
 Splits are chronological.  Windowing a split lets validation and test
 windows reach back across the partition boundary for lookback context —
@@ -283,18 +284,29 @@ class WindowBatch:
         return self.history.shape[0]
 
     def subset(self, idx) -> "WindowBatch":
-        return WindowBatch(self.history[idx], self.future[idx], self.static[idx],
-                           self.target[idx], self.starts[idx])
+        """Windows ``idx``, read-only: views for a slice, a copy for an index array."""
+        parts = [a[idx] for a in (self.history, self.future, self.static, self.target, self.starts)]
+        for a in parts:
+            a.setflags(write=False)
+        return WindowBatch(*parts)
 
 
-def window_view(block: np.ndarray, stride: int, count: int, width: int) -> np.ndarray:
-    """Read-only (count x width x columns) view of ``block``: window k holds
-    rows [k*stride, k*stride + width)."""
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr``, read-only with every array it views (only for arrays made here)."""
+    a = arr
+    while isinstance(a, np.ndarray):
+        a.setflags(write=False)
+        a = a.base
+    return arr
+
+
+def window_view(values: np.ndarray, columns: list[int], stride: int, count: int,
+                width: int) -> np.ndarray:
+    """Read-only (count x width x len(columns)) windows of a frozen copy of
+    ``values[:, columns]``: window k holds rows [k*stride, k*stride + width)."""
     if count == 0:
-        view = np.zeros((0, width, block.shape[1]))
-        view.setflags(write=False)
-        return view
-    windows = sliding_window_view(block, width, axis=0)
+        return _freeze(np.zeros((0, width, len(columns))))
+    windows = sliding_window_view(_freeze(values[:, columns]), width, axis=0)
     return windows[: (count - 1) * stride + 1 : stride].swapaxes(1, 2)
 
 
@@ -308,19 +320,19 @@ def _windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> 
     stat_idx = frame.indices_for("static")
 
     first = max(lo - L, 0)
-    starts = np.arange(first, hi - L - T + 1, stride, dtype=np.int64)
+    starts = _freeze(np.arange(first, hi - L - T + 1, stride, dtype=np.int64))
     n = starts.size
     if n == 0:
         warnings.warn(
             f"no windows fit: rows [{lo}, {hi}) cannot host lookback {L} + horizon {T}"
         )
     rows = frame.values[first : first + (n - 1) * stride + L + T]  # the rows windows touch
-    static_row = rows[:1, stat_idx] if n else np.zeros((1, len(stat_idx)))
+    static_row = _freeze(rows[:1, stat_idx] if n else np.zeros((1, len(stat_idx))))
     return WindowBatch(
-        history=window_view(rows[:, hist_idx], stride, n, L),
-        future=window_view(rows[L:, fut_idx], stride, n, T),
+        history=window_view(rows, hist_idx, stride, n, L),
+        future=window_view(rows[L:], fut_idx, stride, n, T),
         static=np.broadcast_to(static_row, (n, 1, len(stat_idx))),
-        target=window_view(rows[L:, targ_idx], stride, n, T),
+        target=window_view(rows[L:], targ_idx, stride, n, T),
         starts=starts,
     )
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import tensor as tc
 from .errors import ConfigurationError, DimensionError, ParameterError, StateError
-from .tensor import Tensor
+from .tensor import Tensor, _lift
 
 # Variance floor shared by every normalizer: keeps 1/sqrt finite on
 # constant inputs without perturbing healthy variances.
@@ -46,10 +46,6 @@ VAR_FLOOR = 1e-8
 
 NORM_KINDS = ("batch2d", "layer", "identity")
 PLACEMENTS = ("pre", "post")
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,8 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
     for level in spec.levels:
         score = 0.0
         for agg, members in level.groups.items():
-            f = np.sum([np.asarray(forecasts[m], dtype=np.float64) for m in members], axis=0)
-            a = np.sum([np.asarray(actuals[m], dtype=np.float64) for m in members], axis=0)
-            h = np.sum([np.asarray(histories[m], dtype=np.float64) for m in members], axis=0)
+            f, a, h = (np.sum([np.asarray(series[m], dtype=np.float64) for m in members], axis=0)
+                       for series in (forecasts, actuals, histories))
             score += level.weights[agg] * rmsse(f, a, h)
         per_level[level.name] = score
     return float(np.mean(list(per_level.values()))), per_level

@@ -315,27 +315,19 @@ class Forecaster:
             raise DimensionError(
                 f"history must be batch x {cfg.lookback} x {cfg.input_channels}, got {hist.shape}"
             )
-        batch = hist.shape[0]
-        fut = None
-        if cfg.future_covariates:
-            if future is None:
-                raise DimensionError("this configuration requires future covariates")
-            fut = np.asarray(future.data if isinstance(future, Tensor) else future, dtype=np.float64)
-            if fut.shape != (batch, cfg.horizon, cfg.future_covariates):
-                raise DimensionError(
-                    f"future covariates must be {batch} x {cfg.horizon} x "
-                    f"{cfg.future_covariates}, got {fut.shape}"
-                )
-        stat = None
-        if cfg.static_features:
-            if static is None:
-                raise DimensionError("this configuration requires static features")
-            stat = np.asarray(static.data if isinstance(static, Tensor) else static, dtype=np.float64)
-            if stat.shape != (batch, 1, cfg.static_features):
-                raise DimensionError(
-                    f"static features must be {batch} x 1 x {cfg.static_features}, got {stat.shape}"
-                )
-        return hist, fut, stat
+        checked = [hist]
+        for x, what, rows, cols in ((future, "future covariates", cfg.horizon, cfg.future_covariates),
+                                    (static, "static features", 1, cfg.static_features)):
+            arr = None
+            if cols:
+                if x is None:
+                    raise DimensionError(f"this configuration requires {what}")
+                arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+                if arr.shape != (hist.shape[0], rows, cols):
+                    raise DimensionError(
+                        f"{what} must be {hist.shape[0]} x {rows} x {cols}, got {arr.shape}")
+            checked.append(arr)
+        return checked
 
     def forward(self, history, future=None, static=None, *, mode: str = "eval",
                 rng=None, params: dict[str, Tensor] | None = None) -> ForecastOutput:

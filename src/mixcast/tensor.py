@@ -11,7 +11,8 @@ intermediates are freed during the pass and no reference cycle outlives
 it.  A second ``backward`` on the same tape raises ``ContractError``.
 
 Operations are free functions.  They accept Tensors, numpy arrays, or
-Python scalars; non-Tensor inputs are lifted to constants.  When no
+Python scalars; non-Tensor inputs are lifted to constants, copied unless
+nothing can write to them (see ``Tensor``).  When no
 input is bound to a tape the result is a plain constant and nothing is
 recorded, so the same code path serves both inference and training.
 
@@ -41,20 +42,15 @@ MAX_RANK = 3
 class Tensor:
     """Immutable float64 array, optionally bound to a Tape node.
 
-    ``data`` is always read-only; building a Tensor from external data
-    copies it, so callers can never mutate a value after the fact.
+    ``data`` is always read-only.  Building a Tensor from external data
+    copies it, so callers can never mutate a value after the fact; only a
+    float64 ndarray read-only down its whole ``.base`` chain is shared.
     """
 
     __slots__ = ("data", "tape", "nid")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim > MAX_RANK:
-            raise RankError(f"rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
-        arr.setflags(write=False)
-        self.data = arr
-        self.tape = None
-        self.nid = None
+        self._set(data if _frozen(data) else np.array(data, dtype=np.float64), None, None)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, tape: "Tape | None" = None, nid: int | None = None) -> "Tensor":
@@ -62,14 +58,14 @@ class Tensor:
         # asarray (not ascontiguousarray) because the latter promotes 0-d
         # arrays to rank 1.
         t = object.__new__(cls)
-        arr = np.asarray(arr, dtype=np.float64)
+        t._set(np.asarray(arr, dtype=np.float64), tape, nid)
+        return t
+
+    def _set(self, arr: np.ndarray, tape: "Tape | None", nid: int | None) -> None:
         if arr.ndim > MAX_RANK:
             raise RankError(f"rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
         arr.setflags(write=False)
-        t.data = arr
-        t.tape = tape
-        t.nid = nid
-        return t
+        self.data, self.tape, self.nid = arr, tape, nid
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,6 +85,21 @@ class Tensor:
     def __repr__(self) -> str:
         bound = f", tape node {self.nid}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{bound})\n{self.data}"
+
+
+# The link ``as_strided`` (so ``sliding_window_view``) puts between a view and its source.
+_STRIDED_LINK = type(np.lib.stride_tricks.as_strided(np.zeros(1)).base)
+
+
+def _frozen(x) -> bool:
+    """True when ``x`` is a float64 ndarray that nothing can write through:
+    every array down its ``.base`` chain is read-only, and the chain ends
+    in an array, not in a foreign buffer."""
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        return False
+    while type(x) is _STRIDED_LINK or (type(x) is np.ndarray and not x.flags.writeable):
+        x = x.base
+    return x is None
 
 
 class Tape:

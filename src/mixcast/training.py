@@ -21,7 +21,7 @@ from .data import WindowBatch
 from .errors import ConfigurationError, NumericError, ParameterError
 from .models import Forecaster
 from .rng import STREAM_DROPOUT, STREAM_SHUFFLE, make_rng
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, _lift
 
 OBJECTIVES = ("mse", "nb_nll")
 
@@ -41,16 +41,8 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def mse_loss(pred, target) -> Tensor:
     """Mean squared error over all elements; differentiable."""
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    diff = tc.sub(pred, target if isinstance(target, Tensor) else Tensor(target))
+    diff = tc.sub(pred, target)
     return tc.mean(tc.mul(diff, diff))
-
-
-def mae_metric(pred, target) -> float:
-    """Mean absolute error as a plain float (evaluation only)."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
-    t = target.data if isinstance(target, Tensor) else np.asarray(target)
-    return float(np.mean(np.abs(p - t)))
 
 
 def nb_nll_loss(mean, dispersion, counts) -> Tensor:
@@ -60,8 +52,7 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
     mu + alpha * mu^2; alpha -> 0 recovers the Poisson limit.  ``counts``
     must be non-negative (integer-valued in the usual use).
     """
-    mu = mean if isinstance(mean, Tensor) else Tensor(mean)
-    alpha = dispersion if isinstance(dispersion, Tensor) else Tensor(dispersion)
+    mu, alpha = _lift(mean), _lift(dispersion)
     y = np.asarray(counts.data if isinstance(counts, Tensor) else counts, dtype=np.float64)
     if np.any(y < 0):
         raise ParameterError("nb_nll_loss: counts must be non-negative")

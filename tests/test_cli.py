@@ -471,6 +471,24 @@ def test_evaluate_reports_low_error_on_training_series(workdir, capsys):
     assert mse < 1e-3  # periodic series, linear model: near-exact
 
 
+def test_evaluate_mse_and_mae_match_hand_computation(workdir, capsys):
+    # Forecast = mean of the last two rows.  Windows end at rows 2, 3, 4:
+    # y0 forecasts 1.5, 3, 5.5 against 4, 7, 11; y1 forecasts 0, 0, 0
+    # against 0, 0, 1.  Errors -2.5, -4, -5.5, 0, 0, -1.
+    model = md.Forecaster(md.ModelConfig(family="linear", lookback=2, horizon=1, targets=2),
+                          seed=0)
+    model.params["proj.weight"][...] = [[0.5, 0.5]]
+    model.params["proj.bias"][...] = 0.0
+    (workdir / "ckpt").mkdir()
+    cli.save_checkpoint(workdir / "ckpt", model, None, seed=0)
+    (workdir / "series.csv").write_text("y0,y1\n1,0\n2,0\n4,0\n7,0\n11,1\n")
+    assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "series.csv") == 0
+    fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[1:])
+    assert fields["windows"] == "3"
+    assert float(fields["mse"]) == (2.5**2 + 4**2 + 5.5**2 + 1**2) / 6
+    assert float(fields["mae"]) == (2.5 + 4 + 5.5 + 1) / 6
+
+
 def test_evaluate_with_hierarchy(workdir, capsys):
     out = train_linear(workdir)
     hier = {"levels": [

@@ -1,11 +1,12 @@
 """Property-based tests (Hypothesis) for the on-disk formats, the CSV
-reader and tape gradients.
+reader, windowing and splits, and tape gradients.
 
 Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from mixcast import tensor as tc
 from mixcast.errors import DataError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
+from test_data import FIELDS, assert_batch_matches, stacked_windows
 
 BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -127,3 +129,51 @@ def test_standardize_passes_grad_check(data):
         return tc.mean(tc.mul(tc.standardize(ps[0], axes, VAR_FLOOR)[0], tc.Tensor(probe)))
 
     assert tc.grad_check(f, [x]) < 1e-4
+
+
+def window_count(first: int, last_start: int, stride: int) -> int:
+    """Starts first, first + stride, ... up to last_start, counted in closed form."""
+    return (last_start - first) // stride + 1 if last_start >= first else 0
+
+
+def assert_frozen(batch):
+    """Every array is read-only, and the float ones down to their base, so
+    a Tensor shares them."""
+    for name in FIELDS:
+        assert not getattr(batch, name).flags.writeable, name
+    for name in FIELDS[:4]:
+        assert tc.Tensor(getattr(batch, name)).data is getattr(batch, name), name
+
+
+@settings(BOUNDED, max_examples=150)
+@given(data=st.data())
+def test_windows_and_splits_match_the_stacked_oracle(data):
+    roles = data.draw(st.lists(st.sampled_from(dt.ROLES), min_size=1, max_size=5), label="roles")
+    steps = data.draw(st.integers(0, 40), label="steps")
+    spec = dt.WindowSpec(data.draw(st.integers(1, 8), label="lookback"),
+                         data.draw(st.integers(1, 5), label="horizon"),
+                         data.draw(st.integers(1, 4), label="stride"))
+    cuts = sorted(data.draw(st.lists(st.integers(0, steps), min_size=6, max_size=6), label="cuts"))
+    split = dt.SplitSpec(ranges=tuple(zip(cuts[::2], cuts[1::2])))
+    values = np.random.default_rng(steps).normal(size=(steps, len(roles)))
+    values[:, [r == "static" for r in roles]] = 1.5
+    names = [f"c{j}" for j in range(len(roles))]
+    frame = dt.SeriesFrame(values, names, dict(zip(names, roles)))
+    L, T, stride = spec.lookback, spec.horizon, spec.stride
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "no windows fit"
+        whole = dt.make_windows(frame, spec)
+        parts = dt.split_windows(frame, split, spec)
+    assert len(whole) == window_count(0, steps - L - T, stride)
+    batches = [(whole, (0, steps))] + list(zip(parts, split.ranges))
+    for batch, (lo, hi) in batches:
+        assert len(batch) == window_count(max(lo - L, 0), hi - L - T, stride)
+        assert np.all(batch.starts >= 0)
+        assert np.all((batch.starts + L >= lo) & (batch.starts + L + T <= hi))
+        assert_batch_matches(batch, stacked_windows(frame, spec, lo, hi))
+        assert_frozen(batch)
+        idx = data.draw(st.lists(st.integers(0, len(batch) - 1), max_size=4)
+                        if len(batch) else st.just([]), label="idx")
+        assert_frozen(batch.subset(np.array(idx, dtype=np.int64)))
+        assert_frozen(batch.subset(slice(1, None, 2)))

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mixcast import data as dt
 from mixcast import errors
 from mixcast import tensor as tc
 from mixcast.rng import make_rng
@@ -142,6 +143,44 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(tc.expand_rows(row, 3).data, np.tile([[1.0, 2.0]], (3, 1)))
         with pytest.raises(errors.DimensionError):
             tc.expand_rows(Tensor(np.zeros((2, 2))), 3)
+
+
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class TestConstructorCopies:
+    """``Tensor(x)`` copies whatever someone could still write to, and
+    shares a float64 array that is read-only down its whole base chain."""
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a,
+        lambda a: np.lib.stride_tricks.sliding_window_view(a[:, 0], 2, axis=0),
+        lambda a: np.broadcast_to(a[:1], (3, 2, 4)),
+        lambda a: read_only(a[1:]),
+    ], ids=["writeable", "sliding_window_view", "broadcast_to", "read_only_slice"])
+    def test_writeable_base_is_copied(self, view):
+        source = np.arange(24.0).reshape(3, 2, 4)
+        x = view(source)
+        t = Tensor(x)
+        before = np.array(t.data)
+        source[...] = -1.0
+        assert not np.shares_memory(t.data, source)
+        np.testing.assert_array_equal(t.data, before)
+        assert not t.data.flags.writeable
+
+    def test_other_dtype_is_copied(self):
+        x = read_only(np.arange(6, dtype=np.float32))
+        t = Tensor(x)
+        assert t.data.dtype == np.float64 and not np.shares_memory(t.data, x)
+
+    def test_window_history_is_shared(self):
+        frame = dt.synth_periodic(5, 40, variates=3, seed=2)
+        batch = dt.make_windows(frame, dt.WindowSpec(8, 4))
+        for history in (batch.history, batch.subset(slice(2, 9)).history,
+                        batch.subset(np.array([5, 0, 5])).history):
+            assert np.shares_memory(Tensor(history).data, history)
 
 
 class TestDropout:

@@ -21,9 +21,6 @@ class TestLosses:
         target = np.array([[1.0, 0.0], [3.0, 8.0]])
         assert tr.mse_loss(pred, target).item() == pytest.approx((4.0 + 16.0) / 4.0)
 
-    def test_mae_known_value(self):
-        assert tr.mae_metric(np.array([1.0, -2.0]), np.array([0.0, 2.0])) == pytest.approx(2.5)
-
     def test_mse_gradient(self):
         rng = make_rng(80)
         pred = rng.normal(size=(3, 4))
