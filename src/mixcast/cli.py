@@ -60,13 +60,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "head": "point",
         "rev_in": "false",
     },
-    "train": {
-        "learning_rate": "0.001",
-        "max_epochs": "100",
-        "patience": "5",
-        "batch_size": "32",
-        "objective": "mse",
-    },
+    "train": {f.name: str(f.default) for f in fields(tr.TrainConfig) if f.name != "seed"},
 }
 
 
@@ -181,13 +175,11 @@ def load_experiment(path: Path | None, out_override: str | None = None) -> Exper
     )
 
 
-def _config_text(raw: dict[str, dict[str, str]], seed: int) -> str:
+def _ini_text(seed: int, sections: dict[str, dict[str, str]]) -> str:
+    """An INI file under a provenance line, sections and keys in the given order."""
     lines = [f"# {provenance(seed)}"]
-    for section in _DEFAULTS:  # fixed section order
-        lines.append(f"[{section}]")
-        for key in _DEFAULTS[section]:
-            lines.append(f"{key} = {raw[section][key]}")
-        lines.append("")
+    for section, keys in sections.items():
+        lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items()), ""]
     return "\n".join(lines)
 
 
@@ -205,18 +197,13 @@ def _model_config_for(frame: dt.SeriesFrame, exp: Experiment) -> md.ModelConfig:
 
 def save_checkpoint(out: Path, model: md.Forecaster, scaler: dt.Standardizer | None,
                     seed: int) -> None:
-    lines = [f"# {provenance(seed)}", "[model]"]
-    for f in fields(md.ModelConfig):
-        lines.append(f"{f.name} = {getattr(model.config, f.name)!r}")
-    lines.append("")
-    lines.append("[preprocess]")
-    lines.append(f"standardize = {scaler is not None}")
+    pre = {"standardize": str(scaler is not None)}
     if scaler is not None:
-        lines.append(f"columns = {' '.join(scaler.columns)}")
-        lines.append(f"mean = {' '.join(repr(float(v)) for v in scaler.mean)}")
-        lines.append(f"std = {' '.join(repr(float(v)) for v in scaler.std)}")
-    lines.append("")
-    (out / "model.ini").write_text("\n".join(lines))
+        pre["columns"] = " ".join(scaler.columns)
+        for key in ("mean", "std"):
+            pre[key] = " ".join(repr(float(v)) for v in getattr(scaler, key))
+    model_keys = {f.name: repr(getattr(model.config, f.name)) for f in fields(md.ModelConfig)}
+    (out / "model.ini").write_text(_ini_text(seed, {"model": model_keys, "preprocess": pre}))
     blob = dict(model.params)
     for name, buf in model.buffers.items():
         blob[_BUFFER_PREFIX + name] = buf
@@ -254,6 +241,8 @@ def _read_scaler(parser: configparser.ConfigParser, ini: Path) -> dt.Standardize
             raise ConfigurationError(
                 f"{ini}: preprocess.{key} has {values.size} values for {len(columns)} columns"
             )
+    if np.any(stats["std"] <= 0):
+        raise ConfigurationError(f"{ini}: preprocess.std must be positive, got {pre['std']!r}")
     return dt.Standardizer(columns, stats["mean"], stats["std"])
 
 
@@ -278,6 +267,8 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
             raise ConfigurationError(
                 f"checkpoint {kind} {name!r} has shape {blob[key].shape}, expected {arr.shape}"
             )
+        if not np.all(np.isfinite(blob[key])):
+            raise FormatError(f"{params_path}: {kind} {name!r} holds non-finite values")
         arr[...] = blob[key]
     unknown = sorted(set(blob) - {key for _, _, key, _ in slots})
     if unknown:
@@ -293,7 +284,7 @@ def cmd_train(args) -> int:
     exp = load_experiment(args.config, args.out)
     args.out = str(exp.out)  # resolved dir, so failures can leave error.log there
     if args.print_config:
-        print(_config_text(exp.resolved, exp.seed))
+        print(_ini_text(exp.seed, exp.resolved))
         return 0
     if exp.csv is None:
         raise ConfigurationError("data.csv must point at a training CSV")
@@ -322,7 +313,7 @@ def cmd_train(args) -> int:
     for rec in history.records:
         hist_lines.append(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}")
     with reading(out, ConfigurationError, "write"):
-        (out / "config.ini").write_text(_config_text(exp.resolved, exp.seed))
+        (out / "config.ini").write_text(_ini_text(exp.seed, exp.resolved))
         save_checkpoint(out, model, scaler, exp.seed)
         (out / "history.csv").write_text("\n".join(hist_lines) + "\n")
     print(f"trained {model.config.family}: best epoch {history.best_epoch}, "

@@ -217,11 +217,6 @@ def div(a, b) -> Tensor:
     ))
 
 
-def neg(a) -> Tensor:
-    a = _lift(a)
-    return _join(-a.data, ((a, lambda g: -g),))
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; a leading batch axis broadcasts against rank 2.
 
@@ -375,27 +370,11 @@ def relu(a) -> Tensor:
     return _join(out, ((a, lambda g: g * (a.data > 0.0)),))
 
 
-def log(a) -> Tensor:
-    a = _lift(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    _require_finite(out, "log")
-    return _join(out, ((a, lambda g: g / a.data),))
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed overflow-free via logaddexp."""
     a = _lift(a)
     out = np.logaddexp(0.0, a.data)
     return _join(out, ((a, lambda g: g * _sp.expit(a.data)),))
-
-
-def lgamma(a) -> Tensor:
-    """log |Gamma(x)| for positive x; derivative is the digamma function."""
-    a = _lift(a)
-    out = _sp.gammaln(a.data)
-    _require_finite(out, "lgamma")
-    return _join(np.asarray(out), ((a, lambda g: g * _sp.digamma(a.data)),))
 
 
 def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

@@ -1,5 +1,8 @@
 """Losses, the Adam optimizer, and the training loop.
 
+The negative-binomial NLL is one tape node: its value is computed in
+numpy and its VJPs are closed form.
+
 The loop is deterministic given its seed: batch shuffling and dropout
 draw from separate counter-based streams, so two runs with the same seed
 produce bitwise-identical parameter trajectories and histories.  Early
@@ -50,7 +53,8 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
 
     Parameterized by mean mu > 0 and dispersion alpha > 0 with variance
     mu + alpha * mu^2; alpha -> 0 recovers the Poisson limit.  ``counts``
-    must be non-negative (integer-valued in the usual use).
+    must be non-negative (integer-valued in the usual use).  The operands
+    broadcast, and the loss is one tape node with closed-form VJPs.
     """
     mu, alpha = _lift(mean), _lift(dispersion)
     y = np.asarray(counts.data if isinstance(counts, Tensor) else counts, dtype=np.float64)
@@ -58,13 +62,23 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
         raise ParameterError("nb_nll_loss: counts must be non-negative")
     if np.any(mu.data <= 0) or np.any(alpha.data <= 0):
         raise ParameterError("nb_nll_loss: mean and dispersion must be strictly positive")
-    r = tc.div(1.0, alpha)  # number of failures; Poisson limit as r -> inf
-    log_sum = tc.log(tc.add(r, mu))
-    ll = tc.sub(tc.lgamma(tc.add(y, r)), tc.lgamma(r))
-    ll = tc.sub(ll, Tensor(_sp.gammaln(y + 1.0)))
-    ll = tc.add(ll, tc.mul(r, tc.sub(tc.log(r), log_sum)))
-    ll = tc.add(ll, tc.mul(y, tc.sub(tc.log(mu), log_sum)))
-    return tc.neg(tc.mean(ll))
+    with np.errstate(all="ignore"):
+        r = 1.0 / alpha.data  # number of failures; Poisson limit as r -> inf
+        r_mu = r + mu.data
+        log_sum, log_r = np.log(r_mu), np.log(r)
+        ll = (_sp.gammaln(y + r) - _sp.gammaln(r) - _sp.gammaln(y + 1.0)
+              + r * (log_r - log_sum) + y * (np.log(mu.data) - log_sum))
+    tc._require_finite(ll, "nb_nll_loss")
+    n = ll.size
+
+    def vjp_mu(g):
+        return tc._unbroadcast(g * ((r + y) / r_mu - y / mu.data) / n, mu.data.shape)
+
+    def vjp_alpha(g):  # d(-ll)/dr times dr/dalpha = -r^2
+        dr = _sp.digamma(y + r) - _sp.digamma(r) + log_r - log_sum + 1.0 - (r + y) / r_mu
+        return tc._unbroadcast(g * r * r * dr / n, alpha.data.shape)
+
+    return tc._join(np.asarray(-ll.mean()), ((mu, vjp_mu), (alpha, vjp_alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,14 @@ def broken_checkpoint(workdir, case):
         ini.write_text(ini.read_text().replace("standardize = True", "standardize = true"))
     elif case == "no_preprocess":
         ini.write_text(ini.read_text().split("[preprocess]")[0])
+    elif case == "zero_std":
+        ini.write_text(ini.read_text().replace("std = 2.0 3.0", "std = 2.0 0.0"))
+    elif case in ("nan_parameter", "inf_buffer"):
+        key, value = (("proj.bias", np.nan) if case == "nan_parameter"
+                      else ("buffer:block0.feat_norm.var", np.inf))
+        blob = load_params(params)
+        blob[key] = np.full_like(blob[key], value)
+        save_params(params, blob)
     elif case in ("bad_utf8_name", "rank_above_3"):
         blob = bytearray(params.read_bytes())
         name_len = int.from_bytes(blob[12:14], "little")  # of the first entry
@@ -355,6 +363,9 @@ def broken_checkpoint(workdir, case):
     ("not_ini", "not a valid INI file: File contains no section headers."),
     ("standardize_not_bool", "preprocess.standardize must be a boolean, got 'banana'"),
     ("no_preprocess", "no [preprocess] section"),
+    ("zero_std", "preprocess.std must be positive, got '2.0 0.0'"),
+    ("nan_parameter", "params.bin: parameter 'proj.bias' holds non-finite values"),
+    ("inf_buffer", "params.bin: buffer 'block0.feat_norm.var' holds non-finite values"),
     ("bad_utf8_name", "not valid UTF-8"),
     ("rank_above_3", "rank 4 above 3"),
     ("no_running_stats", "missing buffer 'block0.time_norm.mean'"),

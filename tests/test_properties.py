@@ -19,6 +19,7 @@ from mixcast import cli
 from mixcast import data as dt
 from mixcast import models as md
 from mixcast import tensor as tc
+from mixcast import training as tr
 from mixcast.errors import DataError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
@@ -77,6 +78,38 @@ def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
         pass
 
 
+def payload_top_bytes(path):
+    """Offsets of the sign-and-exponent byte of every float64 in a container:
+    the payload is the last 8 bytes per value."""
+    size, values = path.stat().st_size, sum(arr.size for arr in load_params(path).values())
+    return list(range(size - 8 * values + 7, size, 8))
+
+
+@settings(BOUNDED, max_examples=300)
+@given(data=st.data())
+def test_params_bin_mutations_raise_or_load_finite(checkpoint, data):
+    directory, ini = checkpoint
+    params = directory / "params.bin"
+    blob = params.read_bytes()
+    # Anywhere, or where a flipped exponent bit turns a value in [1, 2) into inf or NaN.
+    cut = data.draw(st.one_of(st.integers(0, len(blob) - 1),
+                              st.sampled_from(payload_top_bytes(params))), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        mutant = blob[:cut]
+    else:
+        mask = data.draw(st.one_of(st.just(0x40), st.integers(1, 255)), label="xor")
+        mutant = blob[:cut] + bytes([blob[cut] ^ mask]) + blob[cut + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "model.ini").write_bytes(ini)
+        (Path(tmp) / "params.bin").write_bytes(mutant)
+        try:
+            model, _ = cli.load_checkpoint(Path(tmp))
+        except MixcastError:
+            return
+    for name, arr in {**model.params, **model.buffers}.items():
+        assert np.all(np.isfinite(arr)), name
+
+
 # Pieces of CSV text, with the bytes a reader can trip on: NUL, a BOM,
 # quotes, comment marks, bad UTF-8 and non-finite numbers.
 CSV_PIECES = st.one_of(st.sampled_from([b"y0", b",", b"\n", b"\r\n", b"-2.5", b"1e3", b"nan",
@@ -129,6 +162,36 @@ def test_standardize_passes_grad_check(data):
         return tc.mean(tc.mul(tc.standardize(ps[0], axes, VAR_FLOOR)[0], tc.Tensor(probe)))
 
     assert tc.grad_check(f, [x]) < 1e-4
+
+
+def values(shape, low, high, signed=False):
+    """Arrays of ``shape`` with magnitudes in [low, high], of either sign if ``signed``."""
+    elements = st.floats(low, high)
+    if signed:
+        elements = st.one_of(elements, st.floats(-high, -low))
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+@settings(BOUNDED, max_examples=200)
+@given(data=st.data(), shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                                 max_side=3),
+       op=st.sampled_from(["add", "sub", "mul", "div", "nb_nll_loss"]))
+def test_broadcasting_ops_pass_grad_check(data, shapes, op):
+    (sa, sb), out = shapes.input_shapes, shapes.result_shape
+    if op == "nb_nll_loss":  # mean and dispersion, clear of the domain edges
+        a = data.draw(values(sa, 0.5, 10.0), label="mean")
+        b = data.draw(values(sb, 0.1, 2.0), label="dispersion")
+        y = data.draw(hnp.arrays(np.float64, out, elements=st.integers(0, 15)), label="counts")
+        assert tc.grad_check(lambda ps: tr.nb_nll_loss(ps[0], ps[1], y), [a, b]) < 1e-6
+        return
+    a = data.draw(values(sa, 0.0, 2.0, signed=True), label="a")
+    b = data.draw(values(sb, 0.5 if op == "div" else 0.0, 2.0, signed=True), label="b")
+    probe = data.draw(values(out, 0.0, 1.0, signed=True), label="probe")
+
+    def f(ps):
+        return tc.mean(tc.mul(getattr(tc, op)(ps[0], ps[1]), tc.Tensor(probe)))
+
+    assert tc.grad_check(f, [a, b]) < 1e-6
 
 
 def window_count(first: int, last_start: int, stride: int) -> int:

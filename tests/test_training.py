@@ -4,7 +4,7 @@ import gc
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from mixcast import data as dt
 from mixcast import errors
@@ -30,6 +30,18 @@ class TestLosses:
             return tr.mse_loss(ps[0], Tensor(target))
 
         assert tc.grad_check(f, [pred]) < 1e-4
+
+
+def composite_nb_nll(mu, alpha, y):
+    """The composite formula ``nb_nll_loss`` replaces, in plain numpy and
+    in its operation order."""
+    r = 1.0 / alpha
+    log_sum = np.log(r + mu)
+    ll = special.gammaln(y + r) - special.gammaln(r)
+    ll = ll - special.gammaln(y + 1.0)
+    ll = ll + r * (np.log(r) - log_sum)
+    ll = ll + y * (np.log(mu) - log_sum)
+    return -ll.mean()
 
 
 class TestNegativeBinomial:
@@ -62,16 +74,32 @@ class TestNegativeBinomial:
         assert draws.mean() == pytest.approx(mu, rel=0.02)
         assert draws.var() == pytest.approx(mu + alpha * mu * mu, rel=0.05)
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("alpha_shape", [(3, 3), (1, 3), ()])
+    def test_gradients(self, alpha_shape):
         rng = make_rng(82)
         y = rng.integers(0, 15, size=(3, 3)).astype(np.float64)
         mu = rng.uniform(1.0, 10.0, size=(3, 3))
-        alpha = rng.uniform(0.2, 1.5, size=(3, 3))
+        alpha = rng.uniform(0.2, 1.5, size=alpha_shape)
 
         def f(ps):
             return tr.nb_nll_loss(ps[0], ps[1], y)
 
-        assert tc.grad_check(f, [mu, alpha]) < 1e-4
+        assert tc.grad_check(f, [mu, alpha]) < 1e-6
+
+    @pytest.mark.parametrize("shapes", [((4, 5), (4, 5), (4, 5)), ((2, 4, 5), (1, 5), ()),
+                                        ((4, 1), (5,), (3, 4, 5))])
+    def test_value_equals_composite_bitwise(self, shapes):
+        rng = make_rng(83)
+        mu = rng.uniform(0.1, 30.0, size=shapes[0])
+        alpha = rng.uniform(1e-3, 3.0, size=shapes[1])
+        y = rng.integers(0, 60, size=shapes[2]).astype(np.float64)
+        assert tr.nb_nll_loss(mu, alpha, y).item() == composite_nb_nll(mu, alpha, y)
+
+    def test_records_one_tape_node(self):
+        tape = tc.Tape()
+        mu, alpha = tape.leaf(np.full((2, 3), 4.0)), tape.leaf(np.full((2, 3), 0.5))
+        loss = tr.nb_nll_loss(mu, alpha, np.arange(6.0).reshape(2, 3))
+        assert loss.nid == 2 and len(tape) == 3
 
     def test_mean_recovery_by_scalar_minimization(self):
         counts = np.array([3.0, 7.0, 4.0, 5.0, 0.0, 9.0, 2.0, 6.0])
