@@ -243,6 +243,10 @@ def _read_scaler(parser: configparser.ConfigParser, ini: Path) -> dt.Standardize
             )
     if np.any(stats["std"] <= 0):
         raise ConfigurationError(f"{ini}: preprocess.std must be positive, got {pre['std']!r}")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(1.0 / stats["std"])):
+            raise ConfigurationError(
+                f"{ini}: preprocess.std must be positive and invertible, got {pre['std']!r}")
     return dt.Standardizer(columns, stats["mean"], stats["std"])
 
 

@@ -69,34 +69,14 @@ def linear_init(out_dim: int, in_dim: int, rng: np.random.Generator) -> tuple[np
     return weight, np.zeros(out_dim)
 
 
-def _check_linear(p: LinearParams, op: str) -> tuple[Tensor, Tensor]:
-    w, b = _lift(p.weight), _lift(p.bias)
-    if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-        raise DimensionError(f"{op}: weight {w.shape} and bias {b.shape} are not a valid linear map")
-    return w, b
-
-
 def temporal_projection(x, p: LinearParams) -> Tensor:
     """Map ``rows`` time steps to ``out`` steps, shared across channels."""
-    x = _lift(x)
-    w, b = _check_linear(p, "temporal_projection")
-    if x.ndim < 2 or x.shape[-2] != w.shape[1]:
-        raise DimensionError(
-            f"temporal_projection: weight {w.shape} cannot consume input with shape {x.shape}"
-        )
-    out = tc.matmul(w, x)
-    return tc.add(out, tc.reshape(b, (b.shape[0], 1)))
+    return tc.linear(x, p.weight, p.bias, True)
 
 
 def feature_linear(x, p: LinearParams) -> Tensor:
     """Map channels to channels, shared across rows (applied row-wise)."""
-    x = _lift(x)
-    w, b = _check_linear(p, "feature_linear")
-    if x.ndim < 2 or x.shape[-1] != w.shape[1]:
-        raise DimensionError(
-            f"feature_linear: weight {w.shape} cannot consume input with shape {x.shape}"
-        )
-    return tc.add(tc.matmul(x, tc.transpose(w)), b)
+    return tc.linear(x, p.weight, p.bias, False)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +221,8 @@ def time_mixing(x, p: LinearParams, norm: NormParams, rate: float = 0.0,
     well formed.
     """
     x = _lift(x)
-    w, _ = _check_linear(p, "time_mixing")
-    if w.shape[0] != w.shape[1]:
+    w = _lift(p.weight)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"time_mixing requires a square projection, got weight {w.shape}")
 
     def body(inp: Tensor) -> Tensor:

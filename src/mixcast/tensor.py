@@ -16,6 +16,12 @@ nothing can write to them (see ``Tensor``).  When no
 input is bound to a tape the result is a plain constant and nothing is
 recorded, so the same code path serves both inference and training.
 
+``linear`` records a whole linear map, ``w`` along the rows or columns
+plus a bias, as one node.  On a tape its time-axis product is one GEMM
+over every column of the batch; without a tape it stays the broadcast
+product, which reads the input in place where the GEMM layout would
+copy it.
+
 ``grad_check`` compares tape gradients against central finite
 differences and is the ground truth the rest of the package is tested
 against.
@@ -218,14 +224,7 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; a leading batch axis broadcasts against rank 2.
-
-    On a tape, a rank-2 left operand shared across a batch (W @ x) is
-    contracted in one GEMM over all batch columns, forward and backward,
-    instead of one GEMM per sample plus a per-sample weight gradient that
-    is summed away.  Without a tape the result is the plain broadcast
-    product.
-    """
+    """Matrix product; a leading batch axis broadcasts against rank 2."""
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise RankError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
@@ -233,8 +232,6 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: inner extents disagree for {a.shape} @ {b.shape}")
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(f"matmul: batch extents disagree for {a.shape} @ {b.shape}")
-    if a.ndim == 2 and b.ndim == 3 and (a.tape is not None or b.tape is not None):
-        return _matmul_shared_left(a, b)
     out = a.data @ b.data
 
     def vjp_a(g):
@@ -246,44 +243,51 @@ def matmul(a, b) -> Tensor:
     return _join(out, ((a, vjp_a), (b, vjp_b)))
 
 
-def _matmul_shared_left(a: Tensor, b: Tensor) -> Tensor:
-    """(O x I) @ (B x I x C) as one (O x I) @ (I x B*C) GEMM.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The module-global ``matmul``: bench/spans.py counts products and flop there.
+    return matmul(Tensor._wrap(a), Tensor._wrap(b)).data
 
-    ``b`` is copied once into column layout; the weight gradient needs
-    that copy too.  Results come back as (B x O x C) transposed views.
+
+def linear(x, w, b, time_axis: bool) -> Tensor:
+    """``w`` (O x I) applied along the rows of ``x`` (``time_axis``) or along
+    its columns, plus ``b`` (O,), as one node with closed-form VJPs.
+
+    On a tape, the time-axis product is one (O x I) @ (I x batch*cols) GEMM
+    over every column of the batch, forward and backward, instead of one
+    GEMM per sample plus a per-sample weight gradient that is summed away;
+    ``x`` is copied once into that column layout, which the weight gradient
+    needs too.  Without a tape it is the plain broadcast product, which
+    reads ``x`` in place.
     """
-    B, I, C = b.shape
-    O = a.shape[0]
-    cols = b.data.transpose(1, 0, 2).reshape(I, B * C)
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if w.ndim != 2 or b.shape != w.shape[:1]:
+        raise DimensionError(f"linear: weight {w.shape} and bias {b.shape} are not a linear map")
+    if x.ndim < 2 or x.shape[-2 if time_axis else -1] != w.shape[1]:
+        along = "rows" if time_axis else "columns"
+        raise DimensionError(f"linear: weight {w.shape} cannot map the {along} of shape {x.shape}")
+    if not time_axis:
+        return _join(_product(x.data, w.data.T) + b.data, (
+            (x, lambda g: g @ w.data),
+            (w, lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T),
+            (b, lambda g: _unbroadcast(g, b.data.shape)),
+        ))
+    if x.tape is None and w.tape is None and b.tape is None:
+        return Tensor._wrap(_product(w.data, x.data) + b.data[:, None])
+    O, I = w.shape
+    cols = np.moveaxis(x.data, -2, 0).reshape(I, -1)
+    others = x.shape[:-2] + x.shape[-1:]  # a shape, so no VJP keeps ``x`` alive
 
     def batch_view(m: np.ndarray) -> np.ndarray:
-        return m.reshape(m.shape[0], B, C).transpose(1, 0, 2)
+        return np.moveaxis(m.reshape(m.shape[:1] + others), 0, -2)
 
     def as_cols(g: np.ndarray) -> np.ndarray:
-        return g.transpose(1, 0, 2).reshape(O, B * C)
+        return np.moveaxis(g, -2, 0).reshape(O, -1)
 
-    return _join(batch_view(a.data @ cols), (
-        (a, lambda g: as_cols(g) @ cols.T),
-        (b, lambda g: batch_view(a.data.T @ as_cols(g))),
+    return _join(batch_view(_product(w.data, cols)) + b.data[:, None], (
+        (x, lambda g: batch_view(w.data.T @ as_cols(g))),
+        (w, lambda g: as_cols(g) @ cols.T),
+        (b, lambda g: _unbroadcast(g, (O, 1))[:, 0]),
     ))
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes.  Rank-1 input is a contract violation."""
-    a = _lift(a)
-    if a.ndim < 2:
-        raise RankError(f"transpose requires rank >= 2, got shape {a.shape}")
-    out = np.swapaxes(a.data, -1, -2)
-    return _join(out, ((a, lambda g: np.swapaxes(g, -1, -2)),))
-
-
-def reshape(a, shape) -> Tensor:
-    a = _lift(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-    out = a.data.reshape(shape)
-    return _join(out, ((a, lambda g: g.reshape(a.data.shape)),))
 
 
 def concat(a, b, axis: int = -1) -> Tensor:

@@ -319,8 +319,9 @@ def broken_checkpoint(workdir, case):
         ini.write_text(ini.read_text().replace("standardize = True", "standardize = true"))
     elif case == "no_preprocess":
         ini.write_text(ini.read_text().split("[preprocess]")[0])
-    elif case == "zero_std":
-        ini.write_text(ini.read_text().replace("std = 2.0 3.0", "std = 2.0 0.0"))
+    elif case in ("zero_std", "tiny_std"):
+        std = "2.0 0.0" if case == "zero_std" else "1e-320 3.0"
+        ini.write_text(ini.read_text().replace("std = 2.0 3.0", f"std = {std}"))
     elif case in ("nan_parameter", "inf_buffer"):
         key, value = (("proj.bias", np.nan) if case == "nan_parameter"
                       else ("buffer:block0.feat_norm.var", np.inf))
@@ -364,6 +365,7 @@ def broken_checkpoint(workdir, case):
     ("standardize_not_bool", "preprocess.standardize must be a boolean, got 'banana'"),
     ("no_preprocess", "no [preprocess] section"),
     ("zero_std", "preprocess.std must be positive, got '2.0 0.0'"),
+    ("tiny_std", "preprocess.std must be positive and invertible, got '1e-320 3.0'"),
     ("nan_parameter", "params.bin: parameter 'proj.bias' holds non-finite values"),
     ("inf_buffer", "params.bin: buffer 'block0.feat_norm.var' holds non-finite values"),
     ("bad_utf8_name", "not valid UTF-8"),

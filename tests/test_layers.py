@@ -72,6 +72,15 @@ class TestLinearMaps:
         with pytest.raises(errors.DimensionError):
             ly.feature_linear(np.zeros((5, 3)), lin(2, 4, rng))
 
+    def test_each_map_records_one_tape_node(self):
+        rng = make_rng(44)
+        for layer, shape in ((ly.temporal_projection, (4, 5, 3)), (ly.feature_linear, (4, 3, 5))):
+            tape = Tape()
+            p = lin(2, 5, rng)
+            x, w, b = (tape.leaf(a) for a in (rng.normal(size=shape), p.weight, p.bias))
+            out = layer(x, ly.LinearParams(w, b))
+            assert (out.nid, len(tape)) == (3, 4), layer.__name__
+
 
 class TestNorm2d:
     def test_layer_kind_per_sample_moments(self):

@@ -194,6 +194,37 @@ def test_broadcasting_ops_pass_grad_check(data, shapes, op):
     assert tc.grad_check(f, [a, b]) < 1e-6
 
 
+def quarters(shape):
+    """Arrays of ``shape`` on a grid of quarters in [-2, 2]: products and
+    short sums are exact, so any summation order gives the same value."""
+    return hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(lambda k: k / 4))
+
+
+@settings(BOUNDED, max_examples=60)
+@given(data=st.data(), time_axis=st.booleans(), rank=st.sampled_from([2, 3]),
+       bound=st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
+def test_linear_passes_grad_check(data, time_axis, rank, bound):
+    extent = st.integers(1, 5)
+    out_dim, in_dim = data.draw(extent, label="out"), data.draw(extent, label="in")
+    shape = list(data.draw(st.tuples(*[extent] * rank), label="x shape"))
+    shape[-2 if time_axis else -1] = in_dim
+    arrays = [data.draw(quarters(s), label=n)
+              for s, n in ((tuple(shape), "x"), ((out_dim, in_dim), "w"), ((out_dim,), "b"))]
+    plain = tc.linear(*arrays, time_axis)
+    probe = data.draw(values(plain.shape, 0.0, 1.0, signed=True), label="probe")
+
+    def call(ps):
+        given = iter(ps)
+        return tc.linear(*[next(given) if on else a for on, a in zip(bound, arrays)], time_axis)
+
+    tape = tc.Tape()
+    taped = call([tape.leaf(a) for on, a in zip(bound, arrays) if on])
+    assert taped.tape is tape
+    np.testing.assert_allclose(taped.data, plain.data, rtol=1e-13)
+    leaves = [a for on, a in zip(bound, arrays) if on]
+    assert tc.grad_check(lambda ps: tc.mean(tc.mul(call(ps), tc.Tensor(probe))), leaves) < 1e-6
+
+
 def window_count(first: int, last_start: int, stride: int) -> int:
     """Starts first, first + stride, ... up to last_start, counted in closed form."""
     return (last_start - first) // stride + 1 if last_start >= first else 0
