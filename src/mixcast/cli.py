@@ -313,9 +313,8 @@ def cmd_train(args) -> int:
     model = md.Forecaster(_model_config_for(frame, exp), seed=exp.seed)
     _, history = tr.train(model, train_w, val_w, exp.train)
 
-    hist_lines = [f"# {provenance(exp.seed)}", "epoch,train_loss,val_loss"]
-    for rec in history.records:
-        hist_lines.append(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}")
+    hist_lines = [f"# {provenance(exp.seed)}", "epoch,train_loss,val_loss"] + [
+        f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}" for rec in history.records]
     with reading(out, ConfigurationError, "write"):
         (out / "config.ini").write_text(_ini_text(exp.seed, exp.resolved))
         save_checkpoint(out, model, scaler, exp.seed)
@@ -365,8 +364,7 @@ def cmd_evaluate(args) -> int:
         histories = {c: raw_frame.values[:cut, j] for c, j in zip(target_cols, idx)}
         score, per_level = mt.wrmsse(forecasts, actuals, histories, spec)
         lines.append(f"wrmsse: {score!r}")
-        for name, value in per_level.items():
-            lines.append(f"level {name}: {value!r}")
+        lines += [f"level {name}: {value!r}" for name, value in per_level.items()]
         per_series = sorted(((mt.rmsse(forecasts[c], actuals[c], histories[c]), c)
                              for c in target_cols), reverse=True)
         worst = " ".join(f"{c}={v:.4f}" for v, c in per_series[:5])
@@ -394,16 +392,14 @@ def cmd_forecast(args) -> int:
         frame = scaler.apply(frame)
     hist_idx = frame.indices_for("target") + frame.indices_for("historical")
     history = frame.values[-cfg.lookback:, hist_idx][None, :, :]
-    future = None
     if cfg.future_covariates:
         raise ConfigurationError(
             "forecasting with future covariates needs horizon rows that do not exist yet; "
             "provide them via evaluate on an extended CSV instead"
         )
-    static = None
-    if cfg.static_features:
-        static = frame.values[0, frame.indices_for("static")][None, None, :]
-    out = model.forward(history, future, static)
+    static = (frame.values[0, frame.indices_for("static")][None, None, :]
+              if cfg.static_features else None)
+    out = model.forward(history, None, static)
     target_cols = frame.columns_for("target")
     if out.point is not None:
         pred = out.point.data[0]

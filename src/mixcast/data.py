@@ -210,7 +210,13 @@ class Standardizer:
     def apply(self, frame: SeriesFrame) -> SeriesFrame:
         idx = _positions(self.columns, frame.columns, "standardizer column {!r} missing from frame")
         values = frame.values.copy()
-        values[:, idx] = (values[:, idx] - self.mean) / self.std
+        with np.errstate(over="ignore"):
+            scaled = (values[:, idx] - self.mean) / self.std
+        if not np.isfinite(scaled).all():
+            j = int(np.argmin(np.isfinite(scaled).all(axis=0)))
+            raise DataError(f"column {self.columns[j]!r} overflows when standardized "
+                            f"by its scale {float(self.std[j])!r}")
+        values[:, idx] = scaled
         return SeriesFrame(values, list(frame.columns), dict(frame.roles))
 
     def invert(self, values: np.ndarray, columns: list[str]) -> np.ndarray:

@@ -111,12 +111,14 @@ def norm_stats_init(cols: int, per_feature: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
-    """Normalize a (batch x) rows x cols tensor and apply the affine.
+    """Normalize a (batch x) rows x cols tensor and apply the affine, as one
+    ``tc.standardize`` node; this function only chooses the statistics.
 
     kinds: ``batch2d`` pools statistics over the whole batch (training
     mode recomputes them and updates the running copies in place; eval
     mode applies the running copies), ``layer`` pools per sample over
-    rows and cols, ``identity`` skips standardization entirely.
+    rows and cols, ``identity`` uses mean 0 and variance 1, so it is the
+    affine alone: ``x - 0`` and ``x / 1`` are exact.
     """
     x = _lift(x)
     if mode not in ("train", "eval"):
@@ -132,23 +134,22 @@ def norm2d(x, norm: NormParams, mode: str = "eval") -> Tensor:
     batch = norm.kind == "batch2d"
     if batch and (norm.running_mean is None or norm.running_var is None):
         raise ConfigurationError("norm2d: batch2d requires running statistics")
+    stats = None  # statistics of this input: per sample (layer) or per batch
     if norm.kind == "identity":
-        xn = x
+        stats = (0.0, 1.0)
     elif batch and mode == "eval":
-        std = np.sqrt(np.maximum(norm.running_var, VAR_FLOOR))
-        xn = tc.div(tc.sub(x, Tensor(norm.running_mean)), Tensor(std))
-    else:  # statistics of this input: per sample (layer) or per batch
-        if batch and (x.ndim != 3 or x.shape[0] < 2):
-            raise ConfigurationError(
-                "norm2d: batch2d training statistics need a batch of >= 2 samples; "
-                f"got input shape {x.shape} (use kind='layer' for single samples)"
-            )
-        axes = ((0, 1) if norm.per_feature else (0, 1, 2)) if batch else (-2, -1)
-        xn, m, v = tc.standardize(x, axes, VAR_FLOOR)
-        if batch:  # running copies blend detached batch statistics
-            for run, stat in ((norm.running_mean, m), (norm.running_var, v)):
-                run[...] = (1.0 - MOMENTUM) * run + MOMENTUM * stat.reshape(run.shape)
-    return tc.add(tc.mul(xn, scale), shift)
+        stats = (norm.running_mean, norm.running_var)
+    elif batch and (x.ndim != 3 or x.shape[0] < 2):
+        raise ConfigurationError(
+            "norm2d: batch2d training statistics need a batch of >= 2 samples; "
+            f"got input shape {x.shape} (use kind='layer' for single samples)"
+        )
+    axes = ((0, 1) if norm.per_feature else (0, 1, 2)) if batch else (-2, -1)
+    out, m, v = tc.standardize(x, axes, VAR_FLOOR, (scale, shift), stats)
+    if batch and stats is None:  # running copies blend detached batch statistics
+        for run, stat in ((norm.running_mean, m), (norm.running_var, v)):
+            run[...] = (1.0 - MOMENTUM) * run + MOMENTUM * stat.reshape(run.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -340,12 +340,9 @@ class Forecaster:
 
         rev_state = None
         if cfg.rev_in:
-            targets = hist[:, :, : cfg.targets]
-            normalized, rev_state = ly.rev_in_normalize(targets)
+            h, rev_state = ly.rev_in_normalize(hist[:, :, : cfg.targets])
             if cfg.hist_covariates:
-                h = tc.concat(normalized, Tensor(hist[:, :, cfg.targets:]), axis=-1)
-            else:
-                h = normalized
+                h = tc.concat(h, Tensor(hist[:, :, cfg.targets:]), axis=-1)
         else:
             h = Tensor(hist)
 

@@ -41,10 +41,8 @@ def save_params(path, params: Mapping[str, np.ndarray]) -> None:
         if arr.ndim > _MAX_RANK:
             raise FormatError(f"tensor {name!r} has rank {arr.ndim}, container caps at {_MAX_RANK}")
         raw = name.encode("utf-8")
-        index += struct.pack("<H", len(raw)) + raw
-        index += struct.pack("<B", arr.ndim)
-        index += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        index += struct.pack("<Q", len(payload))
+        index += struct.pack(f"<H{len(raw)}sB{arr.ndim}IQ", len(raw), raw, arr.ndim,
+                             *arr.shape, len(payload))
         payload += arr.tobytes()
     header = MAGIC + struct.pack("<B", VERSION) + struct.pack("<I", len(names))
     Path(path).write_bytes(bytes(header) + bytes(index) + bytes(payload))

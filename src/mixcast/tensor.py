@@ -16,11 +16,12 @@ nothing can write to them (see ``Tensor``).  When no
 input is bound to a tape the result is a plain constant and nothing is
 recorded, so the same code path serves both inference and training.
 
-``linear`` records a whole linear map, ``w`` along the rows or columns
-plus a bias, as one node.  On a tape its time-axis product is one GEMM
-over every column of the batch; without a tape it stays the broadcast
-product, which reads the input in place where the GEMM layout would
-copy it.
+``linear`` records a whole linear map (``w`` along the rows or columns,
+plus a bias) and ``standardize`` a whole 2-D norm with its affine, each as
+one node; there is no ``sub`` or ``div``.  On a tape the time-axis product
+of ``linear`` is one GEMM over every column of the batch; without a tape it
+stays the broadcast product, which reads the input in place where the
+GEMM layout would copy it.
 
 ``grad_check`` compares tape gradients against central finite
 differences and is the ground truth the rest of the package is tested
@@ -184,20 +185,10 @@ def add(a, b) -> Tensor:
     """Elementwise sum with numpy-style broadcasting."""
     a, b = _lift(a), _lift(b)
     _check_broadcast(a, b, "add")
-    out = a.data + b.data
-    return _join(out, (
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
-    return _join(out, (
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
+    sa, sb = a.shape, b.shape  # shapes, so the VJPs keep neither operand alive
+    return _join(a.data + b.data, (
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ))
 
 
@@ -208,18 +199,6 @@ def mul(a, b) -> Tensor:
     return _join(out, (
         (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    ))
-
-
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_broadcast(a, b, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-    _require_finite(out, "div")
-    return _join(out, (
-        (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
     ))
 
 
@@ -343,24 +322,41 @@ def mean(a) -> Tensor:
     return _join(np.asarray(out), ((a, lambda g: np.broadcast_to(g / a.size, a.data.shape)),))
 
 
-def standardize(a, axes, floor: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """(a - mean) / sqrt(max(var, floor)) over ``axes`` as one node, plus the
-    mean and the unfloored variance (axes kept) as plain arrays.  The VJP is
-    closed form; no gradient flows through the variance where var <= floor."""
+def standardize(a, axes, floor: float, affine=None,
+                stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """(a - mean) / sqrt(max(var, floor)) * scale + shift as one node, plus the
+    mean and the unfloored variance: ``a``'s own moments over ``axes`` (axes
+    kept), which the gradient flows through except where var <= floor, or the
+    fixed ``stats = (mean, var)``, constants the closed-form VJPs never read.
+    ``affine = (scale, shift)`` is optional."""
     a = _lift(a)
-    axes = _norm_axes(axes, a.ndim)
-    m = a.data.mean(axis=axes, keepdims=True)
-    d = a.data - m
-    v = (d * d).mean(axis=axes, keepdims=True)
+    if stats is None:
+        axes = _norm_axes(axes, a.ndim)
+        m = a.data.mean(axis=axes, keepdims=True)
+        xn = a.data - m
+        v = (xn * xn).mean(axis=axes, keepdims=True)
+    else:
+        m, v = stats
+        xn = a.data - m
     std = np.sqrt(np.maximum(v, float(floor)))
-    out = d / std
-    _require_finite(out, "standardize")
+    xn /= std
+    _require_finite(xn, "standardize")
 
     def vjp(g):
-        gy = (g * out).mean(axis=axes, keepdims=True) * (v > floor)
-        return (g - g.mean(axis=axes, keepdims=True) - out * gy) / std
+        g = g if affine is None else g * scale.data
+        if stats is None:
+            gy = (g * xn).mean(axis=axes, keepdims=True) * (v > floor)
+            g = g - g.mean(axis=axes, keepdims=True) - xn * gy
+        return g / std
 
-    return _join(out, ((a, vjp),)), m, v
+    if affine is None:
+        return _join(xn, ((a, vjp),)), m, v
+    scale, shift = map(_lift, affine)
+    return _join(xn * scale.data + shift.data, (
+        (a, vjp),
+        (scale, lambda g: _unbroadcast(g * xn, scale.shape)),
+        (shift, lambda g: _unbroadcast(g, shift.shape)),
+    )), m, v
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Losses, the Adam optimizer, and the training loop.
 
-The negative-binomial NLL is one tape node: its value is computed in
-numpy and its VJPs are closed form.
+Each loss is one tape node: its value is computed in numpy and its VJPs
+are closed form.
 
 The loop is deterministic given its seed: batch shuffling and dropout
 draw from separate counter-based streams, so two runs with the same seed
@@ -43,9 +43,16 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def mse_loss(pred, target) -> Tensor:
-    """Mean squared error over all elements; differentiable."""
-    diff = tc.sub(pred, target)
-    return tc.mean(tc.mul(diff, diff))
+    """Mean squared error over the broadcast operands, as one node.  Its VJP
+    2 (g / n) d is bitwise the composite mean(d * d)'s: (g / n) d + (g / n) d."""
+    pred, target = _lift(pred), _lift(target)
+    tc._check_broadcast(pred, target, "mse_loss")
+    d = pred.data - target.data
+    sp, st = pred.shape, target.shape
+    return tc._join(np.asarray((d * d).mean()), (
+        (pred, lambda g: tc._unbroadcast(2.0 * ((g / d.size) * d), sp)),
+        (target, lambda g: tc._unbroadcast(-2.0 * ((g / d.size) * d), st)),
+    ))
 
 
 def nb_nll_loss(mean, dispersion, counts) -> Tensor:
@@ -186,9 +193,7 @@ def _batch_slices(n: int, batch_size: int, avoid_singleton: bool) -> list[slice]
     # A trailing single-sample batch cannot feed batch statistics; fold it
     # into its neighbor.
     if avoid_singleton and len(slices) > 1 and slices[-1].stop - slices[-1].start == 1:
-        last = slices.pop()
-        prev = slices.pop()
-        slices.append(slice(prev.start, last.stop))
+        slices[-2:] = [slice(slices[-2].start, n)]
     return slices
 
 

@@ -319,8 +319,8 @@ def broken_checkpoint(workdir, case):
         ini.write_text(ini.read_text().replace("standardize = True", "standardize = true"))
     elif case == "no_preprocess":
         ini.write_text(ini.read_text().split("[preprocess]")[0])
-    elif case in ("zero_std", "tiny_std"):
-        std = "2.0 0.0" if case == "zero_std" else "1e-320 3.0"
+    elif case in ("zero_std", "tiny_std", "small_std"):
+        std = {"zero_std": "2.0 0.0", "tiny_std": "1e-320 3.0", "small_std": "1e-300 3.0"}[case]
         ini.write_text(ini.read_text().replace("std = 2.0 3.0", f"std = {std}"))
     elif case in ("nan_parameter", "inf_buffer"):
         key, value = (("proj.bias", np.nan) if case == "nan_parameter"
@@ -381,6 +381,18 @@ def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
     capsys.readouterr()
     assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 1
     assert_one_error(capsys, message)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow must not warn
+def test_standardizer_overflow_names_the_column(workdir, capsys):
+    ckpt = broken_checkpoint(workdir, "small_std")  # invertible, but small for the data
+    frame = dt.load_csv("series.csv")
+    values = frame.values.copy()
+    values[:, 0] += 1e9
+    dt.save_csv(dt.SeriesFrame(values, frame.columns, frame.roles), "series.csv")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 1
+    assert_one_error(capsys, "column 'y0' overflows when standardized by its scale 1e-300")
 
 
 TRAIN = ["train", "--config", "exp.ini"]

@@ -82,6 +82,48 @@ class TestLinearMaps:
             assert (out.nid, len(tape)) == (3, 4), layer.__name__
 
 
+# Every kind x mode of norm2d; batch2d eval with running statistics other than 0 / 1.
+NORM_CASES = [("layer", "train", False), ("layer", "eval", False),
+              ("identity", "train", False), ("identity", "eval", False),
+              ("batch2d", "train", False), ("batch2d", "train", True),
+              ("batch2d", "eval", False), ("batch2d", "eval", True)]
+
+
+def stat_norm(kind, scale, shift, per_feature=False):
+    """A norm of ``kind`` on (4 x 2) cells with the given affine; batch2d
+    carries running statistics drawn away from their initial 0 / 1."""
+    if kind != "batch2d":
+        return ly.NormParams(kind, scale, shift)
+    rng = make_rng(58)
+    shape = (2,) if per_feature else ()
+    return ly.NormParams("batch2d", scale, shift, running_mean=rng.normal(size=shape),
+                         running_var=rng.uniform(0.5, 2.0, size=shape), per_feature=per_feature)
+
+
+def composite_norm2d(x, scale, shift, g, kind, per_feature, stats):
+    """The multi-node norm2d that one ``tc.standardize`` node replaces, in plain
+    numpy and in its operation order: output, then the gradients of x, scale
+    and shift for the output adjoint ``g``.  Identity was mul + add, running
+    statistics sub + div + mul + add, and own statistics standardize + mul + add."""
+    if kind == "identity":
+        xn, back = x, lambda h: h
+    elif stats is not None:
+        std = np.sqrt(np.maximum(stats[1], ly.VAR_FLOOR))
+        xn, back = (x - stats[0]) / std, lambda h: h / std
+    else:
+        axes = ((0, 1) if per_feature else (0, 1, 2)) if kind == "batch2d" else (-2, -1)
+        m = x.mean(axis=axes, keepdims=True)
+        d = x - m
+        v = (d * d).mean(axis=axes, keepdims=True)
+        std = np.sqrt(np.maximum(v, ly.VAR_FLOOR))
+        xn = d / std
+
+        def back(h):
+            gy = (h * xn).mean(axis=axes, keepdims=True) * (v > ly.VAR_FLOOR)
+            return (h - h.mean(axis=axes, keepdims=True) - xn * gy) / std
+    return xn * scale + shift, back(g * scale), (g * xn).sum(axis=0), g.sum(axis=0)
+
+
 class TestNorm2d:
     def test_layer_kind_per_sample_moments(self):
         x = make_rng(44).normal(loc=3.0, scale=2.5, size=(4, 6, 5))
@@ -146,21 +188,52 @@ class TestNorm2d:
         x = rng.normal(size=(3, 4, 2))
         scale = rng.normal(size=(4, 2))
         shift = rng.normal(size=(4, 2))
-
-        def f_layer(ps):
-            norm = ly.NormParams("layer", ps[1], ps[2])
-            return tc.mean(tc.mul(ly.norm2d(ps[0], norm), Tensor(probe)))
-
-        def f_batch(ps, per_feature=False):
-            rm, rv = ly.norm_stats_init(2, per_feature)
-            norm = ly.NormParams("batch2d", ps[1], ps[2], running_mean=rm, running_var=rv,
-                                 per_feature=per_feature)
-            return tc.mean(tc.mul(ly.norm2d(ps[0], norm, mode="train"), Tensor(probe)))
-
         probe = make_rng(50).normal(size=(3, 4, 2))
-        assert tc.grad_check(f_layer, [x, scale, shift]) < 1e-4
-        assert tc.grad_check(f_batch, [x, scale, shift]) < 1e-4
-        assert tc.grad_check(lambda ps: f_batch(ps, per_feature=True), [x, scale, shift]) < 1e-4
+
+        def f(kind, mode, per_feature=False):
+            def loss(ps):
+                norm = stat_norm(kind, ps[1], ps[2], per_feature)
+                return tc.mean(tc.mul(ly.norm2d(ps[0], norm, mode=mode), Tensor(probe)))
+            return loss
+
+        for kind, mode, per_feature in NORM_CASES:
+            err = tc.grad_check(f(kind, mode, per_feature), [x, scale, shift])
+            assert err < 1e-4, (kind, mode, per_feature)
+
+    @pytest.mark.parametrize("kind, mode, per_feature", NORM_CASES)
+    def test_one_node_bitwise_equal_to_the_composite(self, kind, mode, per_feature):
+        rng = make_rng(56)
+        x, probe = rng.normal(loc=1.5, size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+        scale, shift = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in (x, scale, shift)]
+        norm = stat_norm(kind, leaves[1], leaves[2], per_feature)
+        stats = None  # what batch2d eval applies: the running copies
+        if kind == "batch2d" and mode == "eval":
+            stats = (np.array(norm.running_mean), np.array(norm.running_var))
+        out = ly.norm2d(leaves[0], norm, mode=mode)
+        assert out.nid == 3 and len(tape) == 4
+        grads = tc.backward(tape, tc.mean(tc.mul(out, Tensor(probe))))
+        g = (1.0 / probe.size) * probe  # the adjoint mean(out * probe) hands the node
+        want = composite_norm2d(x, scale, shift, g, kind, per_feature, stats)
+        for got, expected in zip([out.data] + [grads[t.nid].data for t in leaves], want):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("per_feature", [False, True])
+    def test_eval_node_keeps_no_running_buffer(self, per_feature):
+        x = make_rng(57).normal(size=(3, 4, 2))
+
+        def eval_grad(mutate):
+            tape = Tape()
+            leaf = tape.leaf(x)
+            norm = stat_norm("batch2d", np.ones((4, 2)), np.zeros((4, 2)), per_feature)
+            loss = tc.mean(tc.mul(ly.norm2d(leaf, norm, mode="eval"), Tensor(x)))
+            if mutate:
+                norm.running_mean[...] += 5.0
+                norm.running_var[...] *= 7.0
+            return tc.backward(tape, loss)[leaf.nid].data
+
+        np.testing.assert_array_equal(eval_grad(True), eval_grad(False))
 
 
 class TestRevIn:

@@ -144,9 +144,23 @@ def test_load_csv_returns_a_frame_or_raises_data_error(data):
     assert np.all(np.isfinite(frame.values))
 
 
-@settings(BOUNDED, max_examples=100)
-@given(data=st.data())
-def test_standardize_passes_grad_check(data):
+def quarters(shape):
+    """Arrays of ``shape`` on a grid of quarters in [-2, 2]: products and
+    short sums are exact, so any summation order gives the same value."""
+    return hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(lambda k: k / 4))
+
+
+def fitting(data, shape, label):
+    """A shape that broadcasts to exactly ``shape``: trailing extents, each kept or 1."""
+    lead = data.draw(st.integers(0, len(shape)), label=f"{label} rank cut")
+    kept = data.draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)),
+                     label=f"{label} kept extents")
+    return tuple(n if keep else 1 for n, keep in zip(shape, kept))[lead:]
+
+
+@settings(BOUNDED, max_examples=80)
+@given(data=st.data(), with_affine=st.booleans(), fixed=st.booleans())
+def test_standardize_passes_grad_check(data, with_affine, fixed):
     shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=4),
                       label="shape")
     ndim = len(shape)
@@ -154,14 +168,22 @@ def test_standardize_passes_grad_check(data):
                               unique_by=lambda a: a % ndim), label="axes")
     # Values on a grid of quarters: a slice is either exactly constant (its
     # variance floored) or spread far wider than the difference step.
-    x = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(lambda k: k / 4)),
-                  label="x")
+    x = data.draw(quarters(shape), label="x")
     probe = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1, 1)), label="probe")
+    stats = None
+    if fixed:  # constants: a variance of 0 is floored, and no gradient reaches them
+        stats = (data.draw(quarters(fitting(data, shape, "mean")), label="mean"),
+                 data.draw(hnp.arrays(np.float64, fitting(data, shape, "var"),
+                                      elements=st.integers(0, 16).map(lambda k: k / 4)),
+                           label="var"))
+    affine = [data.draw(quarters(fitting(data, shape, n)), label=n)
+              for n in ("scale", "shift")] if with_affine else []
 
     def f(ps):
-        return tc.mean(tc.mul(tc.standardize(ps[0], axes, VAR_FLOOR)[0], tc.Tensor(probe)))
+        out = tc.standardize(ps[0], axes, VAR_FLOOR, ps[1:] or None, stats)[0]
+        return tc.mean(tc.mul(out, tc.Tensor(probe)))
 
-    assert tc.grad_check(f, [x]) < 1e-4
+    assert tc.grad_check(f, [x, *affine]) < 1e-4
 
 
 def values(shape, low, high, signed=False):
@@ -175,7 +197,7 @@ def values(shape, low, high, signed=False):
 @settings(BOUNDED, max_examples=200)
 @given(data=st.data(), shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
                                                                  max_side=3),
-       op=st.sampled_from(["add", "sub", "mul", "div", "nb_nll_loss"]))
+       op=st.sampled_from(["add", "mul", "mse_loss", "nb_nll_loss"]))
 def test_broadcasting_ops_pass_grad_check(data, shapes, op):
     (sa, sb), out = shapes.input_shapes, shapes.result_shape
     if op == "nb_nll_loss":  # mean and dispersion, clear of the domain edges
@@ -185,19 +207,16 @@ def test_broadcasting_ops_pass_grad_check(data, shapes, op):
         assert tc.grad_check(lambda ps: tr.nb_nll_loss(ps[0], ps[1], y), [a, b]) < 1e-6
         return
     a = data.draw(values(sa, 0.0, 2.0, signed=True), label="a")
-    b = data.draw(values(sb, 0.5 if op == "div" else 0.0, 2.0, signed=True), label="b")
+    b = data.draw(values(sb, 0.0, 2.0, signed=True), label="b")
+    if op == "mse_loss":  # a loss: scalar already, with both operands as leaves
+        assert tc.grad_check(lambda ps: tr.mse_loss(ps[0], ps[1]), [a, b]) < 1e-6
+        return
     probe = data.draw(values(out, 0.0, 1.0, signed=True), label="probe")
 
     def f(ps):
         return tc.mean(tc.mul(getattr(tc, op)(ps[0], ps[1]), tc.Tensor(probe)))
 
     assert tc.grad_check(f, [a, b]) < 1e-6
-
-
-def quarters(shape):
-    """Arrays of ``shape`` on a grid of quarters in [-2, 2]: products and
-    short sums are exact, so any summation order gives the same value."""
-    return hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(lambda k: k / 4))
 
 
 @settings(BOUNDED, max_examples=60)

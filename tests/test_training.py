@@ -31,6 +31,28 @@ class TestLosses:
 
         assert tc.grad_check(f, [pred]) < 1e-4
 
+    @pytest.mark.parametrize("pred_shape, target_shape", [((3, 4), (3, 4)), ((2, 3, 4), (1, 4))])
+    def test_mse_is_one_node_bitwise_equal_to_the_composite(self, pred_shape, target_shape):
+        # The composite mean(mul(d, d)), d = sub(pred, target): mean hands mul
+        # g / n, mul's two equal adjoints add, and sub negates the target's.
+        rng = make_rng(83)
+        pred, target = rng.normal(size=pred_shape), rng.normal(size=target_shape)
+        tape = tc.Tape()
+        p, t = tape.leaf(pred), tape.leaf(target)
+        loss = tr.mse_loss(p, t)
+        assert loss.nid == 2 and len(tape) == 3
+        d = pred - target
+        half = (np.ones(()) / d.size) * d
+        assert loss.item() == (d * d).mean()
+        grads = tc.backward(tape, loss)
+        np.testing.assert_array_equal(grads[p.nid].data, half + half)
+        np.testing.assert_array_equal(grads[t.nid].data,
+                                      tc._unbroadcast(-(half + half), target_shape))
+
+    def test_mse_shapes_must_broadcast(self):
+        with pytest.raises(errors.DimensionError, match="mse_loss"):
+            tr.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+
 
 def composite_nb_nll(mu, alpha, y):
     """The composite formula ``nb_nll_loss`` replaces, in plain numpy and
