@@ -15,6 +15,8 @@ Python scalars; non-Tensor inputs are lifted to constants, copied unless
 nothing can write to them (see ``Tensor``).  When no
 input is bound to a tape the result is a plain constant and nothing is
 recorded, so the same code path serves both inference and training.
+``matmul`` is the one function here that takes and returns arrays: the
+untaped product ``linear`` computes through, and never a node.
 
 ``linear`` records a whole linear map (``w`` along the rows or columns,
 plus a bias) and ``standardize`` a whole 2-D norm with its affine, each as
@@ -202,29 +204,11 @@ def mul(a, b) -> Tensor:
     ))
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; a leading batch axis broadcasts against rank 2."""
-    a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise RankError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents disagree for {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise DimensionError(f"matmul: batch extents disagree for {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def vjp_a(g):
-        return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-
-    def vjp_b(g):
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-
-    return _join(out, ((a, vjp_a), (b, vjp_b)))
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The module-global ``matmul``: bench/spans.py counts products and flop there.
-    return matmul(Tensor._wrap(a), Tensor._wrap(b)).data
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on float64 arrays, recording nothing.  Every product of
+    ``linear`` runs through this one module-global name, so a profiler that
+    wraps it (``bench/spans.py``) counts each GEMM and its flop."""
+    return a @ b
 
 
 def linear(x, w, b, time_axis: bool) -> Tensor:
@@ -245,13 +229,13 @@ def linear(x, w, b, time_axis: bool) -> Tensor:
         along = "rows" if time_axis else "columns"
         raise DimensionError(f"linear: weight {w.shape} cannot map the {along} of shape {x.shape}")
     if not time_axis:
-        return _join(_product(x.data, w.data.T) + b.data, (
+        return _join(matmul(x.data, w.data.T) + b.data, (
             (x, lambda g: g @ w.data),
             (w, lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T),
             (b, lambda g: _unbroadcast(g, b.data.shape)),
         ))
     if x.tape is None and w.tape is None and b.tape is None:
-        return Tensor._wrap(_product(w.data, x.data) + b.data[:, None])
+        return Tensor._wrap(matmul(w.data, x.data) + b.data[:, None])
     O, I = w.shape
     cols = np.moveaxis(x.data, -2, 0).reshape(I, -1)
     others = x.shape[:-2] + x.shape[-1:]  # a shape, so no VJP keeps ``x`` alive
@@ -262,7 +246,7 @@ def linear(x, w, b, time_axis: bool) -> Tensor:
     def as_cols(g: np.ndarray) -> np.ndarray:
         return np.moveaxis(g, -2, 0).reshape(O, -1)
 
-    return _join(batch_view(_product(w.data, cols)) + b.data[:, None], (
+    return _join(batch_view(matmul(w.data, cols)) + b.data[:, None], (
         (x, lambda g: batch_view(w.data.T @ as_cols(g))),
         (w, lambda g: as_cols(g) @ cols.T),
         (b, lambda g: _unbroadcast(g, (O, 1))[:, 0]),
@@ -309,29 +293,22 @@ def expand_rows(a, n: int) -> Tensor:
 # reductions
 
 
-def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(sorted(a % ndim for a in axis))
-
-
 def mean(a) -> Tensor:
     """Mean over every element, as a scalar."""
     a = _lift(a)
-    out = a.data.mean()
-    return _join(np.asarray(out), ((a, lambda g: np.broadcast_to(g / a.size, a.data.shape)),))
+    n, shape = a.size, a.shape  # so the VJP keeps no operand alive
+    return _join(np.asarray(a.data.mean()), ((a, lambda g: np.broadcast_to(g / n, shape)),))
 
 
 def standardize(a, axes, floor: float, affine=None,
                 stats=None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """(a - mean) / sqrt(max(var, floor)) * scale + shift as one node, plus the
-    mean and the unfloored variance: ``a``'s own moments over ``axes`` (axes
-    kept), which the gradient flows through except where var <= floor, or the
+    mean and the unfloored variance: ``a``'s own moments over the ``axes`` tuple
+    (kept), which the gradient flows through except where var <= floor, or the
     fixed ``stats = (mean, var)``, constants the closed-form VJPs never read.
     ``affine = (scale, shift)`` is optional."""
     a = _lift(a)
     if stats is None:
-        axes = _norm_axes(axes, a.ndim)
         m = a.data.mean(axis=axes, keepdims=True)
         xn = a.data - m
         v = (xn * xn).mean(axis=axes, keepdims=True)
@@ -366,8 +343,8 @@ def standardize(a, axes, floor: float, affine=None,
 def relu(a) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _lift(a)
-    out = np.maximum(a.data, 0.0)
-    return _join(out, ((a, lambda g: g * (a.data > 0.0)),))
+    mask = a.data > 0.0  # the VJP keeps this, not the operand
+    return _join(np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
 
 
 def softplus(a) -> Tensor:

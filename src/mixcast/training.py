@@ -201,8 +201,9 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
           config: TrainConfig) -> tuple[dict[str, np.ndarray], TrainHistory]:
     """Fit ``model`` in place; returns its parameters and the epoch history.
 
-    Aborts with a NumericError naming the epoch and batch if the training
-    loss ever goes non-finite.
+    Aborts with a NumericError naming the epoch and batch if a training step
+    fails numerically (its loss goes non-finite, or a forward or backward
+    op raises), or naming the epoch if its validation pass does.
     """
     config.validate()
     if len(train_windows) == 0 or len(val_windows) == 0:
@@ -219,38 +220,45 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     best_params = {k: p.copy() for k, p in model.params.items()}
     best_buffers = {k: b.copy() for k, b in model.buffers.items()}
     bad_epochs = 0
-    uses_batch_stats = model.config.norm == "batch2d"
+    slices = _batch_slices(len(train_windows), config.batch_size, model.config.norm == "batch2d")
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_windows))
-        epoch_loss = 0.0
-        for bi, sl in enumerate(_batch_slices(len(order), config.batch_size, uses_batch_stats)):
-            batch = train_windows.subset(order[sl])
-            tape = Tape()
-            bound = model.bind(tape)
-            loss = _loss_for(model, batch, config.objective, "train", dropout_rng, bound)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"training loss went non-finite at epoch {epoch}, batch {bi}")
-            grads = tc.backward(tape, loss)
-            adam_step(model.params, {k: grads[t.nid].data for k, t in bound.items()},
-                      opt, config.learning_rate)
-            epoch_loss += value * len(batch)
-        epoch_loss /= len(train_windows)
-        val_loss = dataset_loss(model, val_windows, config.objective)
-        history.records.append(EpochRecord(epoch, epoch_loss, val_loss))
+    where = ""  # the step or validation pass running, named by a NumericError
+    try:
+        with np.errstate(all="ignore"):  # no numpy warnings: the checks below name a failure
+            for epoch in range(1, config.max_epochs + 1):
+                order = shuffle_rng.permutation(len(train_windows))
+                epoch_loss = 0.0
+                for bi, sl in enumerate(slices):
+                    where = f"at epoch {epoch}, batch {bi}"
+                    batch = train_windows.subset(order[sl])
+                    tape = Tape()
+                    bound = model.bind(tape)
+                    loss = _loss_for(model, batch, config.objective, "train", dropout_rng, bound)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericError("training loss went non-finite")
+                    grads = tc.backward(tape, loss)
+                    adam_step(model.params, {k: grads[t.nid].data for k, t in bound.items()},
+                              opt, config.learning_rate)
+                    epoch_loss += value * len(batch)
+                epoch_loss /= len(train_windows)
+                where = f"in the validation pass of epoch {epoch}"
+                val_loss = dataset_loss(model, val_windows, config.objective)
+                history.records.append(EpochRecord(epoch, epoch_loss, val_loss))
 
-        if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:
-            history.best_val_loss = val_loss
-            history.best_epoch = epoch
-            best_params = {k: p.copy() for k, p in model.params.items()}
-            best_buffers = {k: b.copy() for k, b in model.buffers.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                history.stop_reason = "early_stopping"
-                break
+                if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:
+                    history.best_val_loss = val_loss
+                    history.best_epoch = epoch
+                    best_params = {k: p.copy() for k, p in model.params.items()}
+                    best_buffers = {k: b.copy() for k, b in model.buffers.items()}
+                    bad_epochs = 0
+                else:
+                    bad_epochs += 1
+                    if bad_epochs >= config.patience:
+                        history.stop_reason = "early_stopping"
+                        break
+    except NumericError as exc:
+        raise NumericError(f"{exc} {where}") from None
     if not history.stop_reason:
         history.stop_reason = "max_epochs"
 

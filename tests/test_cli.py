@@ -218,18 +218,23 @@ def test_trained_checkpoint_loads_back(workdir, capsys, column, message):
     assert scaler.columns == [column, "y1"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow must not warn
 def test_divergent_training_exits_2_and_logs(workdir, capsys):
+    # The linear family's loss goes non-finite; the tsmixer's first
+    # batch2d norm raises before its loss exists.  Either way numpy warns
+    # about nothing and one line names the batch.
     write_series(workdir / "series.csv", steps=80)
-    (workdir / "exp.ini").write_text(
-        "[run]\nout = boom\n[data]\ncsv = series.csv\n"
-        "[window]\nlookback = 14\nhorizon = 7\n"
-        "[model]\nfamily = linear\nnorm = identity\n"
-        "[train]\nlearning_rate = 1e160\nmax_epochs = 5\n"
-    )
-    assert run_cli("train", "--config", "exp.ini") == 2
-    assert "non-finite" in capsys.readouterr().err
-    assert "non-finite" in (workdir / "boom" / "error.log").read_text()
+    for family, norm in [("linear", "identity"), ("tsmixer", "batch2d")]:
+        (workdir / "exp.ini").write_text(
+            f"[run]\nout = {family}\n[data]\ncsv = series.csv\n"
+            "[window]\nlookback = 14\nhorizon = 7\n"
+            f"[model]\nfamily = {family}\nnorm = {norm}\n"
+            "[train]\nlearning_rate = 1e160\nmax_epochs = 5\n"
+        )
+        assert run_cli("train", "--config", "exp.ini") == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric failure: .*non-finite.* at epoch \d+, batch \d+\n", err), err
+        assert err.removeprefix("numeric failure: ") in (workdir / family / "error.log").read_text()
 
 
 @pytest.mark.parametrize("argv, log", [

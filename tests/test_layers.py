@@ -67,9 +67,9 @@ class TestLinearMaps:
 
     def test_shape_mismatch_messages(self):
         rng = make_rng(43)
-        with pytest.raises(errors.DimensionError):
+        with pytest.raises(errors.DimensionError, match=r"weight \(2, 4\).*shape \(5, 3\)"):
             ly.temporal_projection(np.zeros((5, 3)), lin(2, 4, rng))
-        with pytest.raises(errors.DimensionError):
+        with pytest.raises(errors.DimensionError, match=r"weight \(2, 4\).*shape \(5, 3\)"):
             ly.feature_linear(np.zeros((5, 3)), lin(2, 4, rng))
 
     def test_each_map_records_one_tape_node(self):

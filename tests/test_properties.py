@@ -23,6 +23,7 @@ from mixcast import training as tr
 from mixcast.errors import DataError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
+from mixcast.rng import make_rng
 from test_data import FIELDS, assert_batch_matches, stacked_windows
 
 BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
@@ -165,7 +166,7 @@ def test_standardize_passes_grad_check(data, with_affine, fixed):
                       label="shape")
     ndim = len(shape)
     axes = data.draw(st.lists(st.integers(-ndim, ndim - 1), min_size=1, max_size=ndim,
-                              unique_by=lambda a: a % ndim), label="axes")
+                              unique_by=lambda a: a % ndim).map(tuple), label="axes")
     # Values on a grid of quarters: a slice is either exactly constant (its
     # variance floored) or spread far wider than the difference step.
     x = data.draw(quarters(shape), label="x")
@@ -217,6 +218,34 @@ def test_broadcasting_ops_pass_grad_check(data, shapes, op):
         return tc.mean(tc.mul(getattr(tc, op)(ps[0], ps[1]), tc.Tensor(probe)))
 
     assert tc.grad_check(f, [a, b]) < 1e-6
+
+
+@settings(BOUNDED, max_examples=120)
+@given(data=st.data(), op=st.sampled_from(["concat", "expand_rows", "mean", "relu", "softplus",
+                                           "dropout"]))
+def test_shape_and_pointwise_ops_pass_grad_check(data, op):
+    ndim = data.draw(st.integers({"concat": 1, "expand_rows": 2}.get(op, 0), 3), label="rank")
+    shape = data.draw(st.tuples(*[st.integers(1, 4)] * ndim), label="shape")
+    if op == "expand_rows":
+        shape = shape[:-2] + (1,) + shape[-1:]
+    low = 0.1 if op == "relu" else 0.0  # relu's inputs stay clear of its kink
+    leaves = [data.draw(values(shape, low, 2.0, signed=True), label="x")]
+    if op == "concat":
+        axis = data.draw(st.integers(-ndim, ndim - 1), label="axis")
+        other = list(shape)
+        other[axis] = data.draw(st.integers(1, 4), label="other extent")
+        leaves.append(data.draw(values(tuple(other), 0.0, 2.0, signed=True), label="y"))
+        call = lambda ps: tc.concat(ps[0], ps[1], axis)
+    elif op == "expand_rows":
+        rows = data.draw(st.integers(1, 4), label="rows")
+        call = lambda ps: tc.expand_rows(ps[0], rows)
+    elif op == "dropout":  # a fresh fixed-seed rng per call, so every call draws one mask
+        rate = data.draw(st.floats(0.0, 0.9, exclude_max=True), label="rate")
+        call = lambda ps: tc.dropout(ps[0], rate, "train", make_rng(5))
+    else:
+        call = lambda ps: getattr(tc, op)(ps[0])
+    probe = data.draw(values(call(leaves).shape, 0.0, 1.0, signed=True), label="probe")
+    assert tc.grad_check(lambda ps: tc.mean(tc.mul(call(ps), tc.Tensor(probe))), leaves) < 1e-6
 
 
 @settings(BOUNDED, max_examples=60)

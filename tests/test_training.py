@@ -228,15 +228,22 @@ class TestTrainLoop:
         assert history.best_epoch == 1
         assert len(history.records) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow must not warn
     def test_divergence_aborts_with_location(self):
+        # The linear family's loss goes non-finite; in a tsmixer a norm's
+        # standardize raises first, in a step or, with one step per epoch,
+        # in the validation pass after it.
         train_w, val_w, _ = periodic_windows()
-        cfg = md.ModelConfig(family="linear", lookback=12, horizon=4, targets=1)
-        model = md.Forecaster(cfg, seed=8)
-        tcfg = tr.TrainConfig(learning_rate=1e155, max_epochs=5, patience=5,
-                              batch_size=64, seed=9)
-        with pytest.raises(errors.NumericError, match=r"epoch \d+, batch \d+"):
-            tr.train(model, train_w, val_w, tcfg)
+        for family, norm, batch_size, where in [
+                ("linear", "batch2d", 64, r"^training loss went non-finite at epoch \d+, batch \d+$"),
+                ("tsmixer", "batch2d", 64, r"^standardize .* at epoch 1, batch 1$"),
+                ("tsmixer", "layer", 1000, r"^standardize .* in the validation pass of epoch 1$")]:
+            cfg = md.ModelConfig(family=family, lookback=12, horizon=4, targets=1, norm=norm)
+            model = md.Forecaster(cfg, seed=8)
+            tcfg = tr.TrainConfig(learning_rate=1e155, max_epochs=5, patience=5,
+                                  batch_size=batch_size, seed=9)
+            with pytest.raises(errors.NumericError, match=where):
+                tr.train(model, train_w, val_w, tcfg)
 
     def test_batch_stats_survive_trailing_singleton(self):
         frame = dt.synth_periodic(5, 80, seed=10)
