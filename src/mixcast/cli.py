@@ -324,15 +324,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_forecasts(model: md.Forecaster, windows: dt.WindowBatch):
-    outputs = []
-    for lo in range(0, len(windows), tr.EVAL_CHUNK):
-        chunk = windows.subset(slice(lo, lo + tr.EVAL_CHUNK))
-        out = model.forward(chunk.history, chunk.future, chunk.static)
-        outputs.append((out.point if out.point is not None else out.mean).data)
-    return np.concatenate(outputs, axis=0)
-
-
 def cmd_evaluate(args) -> int:
     model, scaler = load_checkpoint(args.checkpoint)
     schema = dt.load_schema(args.schema) if args.schema else None
@@ -344,14 +335,21 @@ def cmd_evaluate(args) -> int:
     windows = dt.make_windows(frame, dt.WindowSpec(cfg.lookback, cfg.horizon))
     if len(windows) == 0:
         raise DataError(f"{args.csv}: needs at least {cfg.lookback + cfg.horizon} rows to evaluate")
-    pred = _eval_forecasts(model, windows)
     target_cols = frame.columns_for("target")
-    if scaler is not None:
-        pred = scaler.invert(pred, target_cols)
     idx = raw_frame.indices_for("target")
     truth = dt.window_view(raw_frame.values[cfg.lookback:], idx, 1, len(windows), cfg.horizon)
-    err = pred - truth
-    mse, mae = float(np.mean(err ** 2)), float(np.mean(np.abs(err)))
+    # Score each chunk as it is forecast, so memory does not grow with the window count.
+    sq_sum = abs_sum = 0.0
+    for lo in range(0, len(windows), tr.EVAL_CHUNK):
+        chunk = windows.subset(slice(lo, lo + tr.EVAL_CHUNK))
+        out = model.forward(chunk.history, chunk.future, chunk.static)
+        pred = (out.point if out.point is not None else out.mean).data
+        if scaler is not None:
+            pred = scaler.invert(pred, target_cols)
+        err = pred - truth[lo:lo + tr.EVAL_CHUNK]
+        sq_sum += float(np.sum(err ** 2))
+        abs_sum += float(np.sum(np.abs(err)))
+    mse, mae = sq_sum / truth.size, abs_sum / truth.size
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
              f"mse: {mse!r}", f"mae: {mae!r}"]
 

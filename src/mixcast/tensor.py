@@ -343,7 +343,7 @@ def standardize(a, axes, floor: float, affine=None,
 def relu(a) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _lift(a)
-    mask = a.data > 0.0  # the VJP keeps this, not the operand
+    mask = a.data > 0.0 if a.tape is not None else None  # the VJP keeps this, not the operand
     return _join(np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
 
 

@@ -7,6 +7,7 @@ files can be asserted directly; training runs are kept tiny.
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +536,87 @@ def test_evaluate_with_hierarchy(workdir, capsys):
     assert "level total:" in text
     assert "worst series:" in text
     assert text == capsys.readouterr().out
+
+
+def standardized_linear_checkpoint(workdir, rows, channels, lookback, horizon, seed):
+    """A seeded CSV of ``rows`` x ``channels`` positive series and a ``linear``
+    checkpoint with random weights and a non-trivial scaler; returns the
+    loaded values, the weight, bias, mean and std."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(rows)[:, None]
+    values = (rng.uniform(5.0, 50.0, channels) + 3.0 * np.sin(2 * np.pi * t / 24.0)
+              + rng.normal(size=(rows, channels)))
+    cols = [f"s{j}" for j in range(channels)]
+    dt.save_csv(dt.SeriesFrame(values, cols, {c: "target" for c in cols}), workdir / "wide.csv")
+    model = md.Forecaster(md.ModelConfig(family="linear", lookback=lookback, horizon=horizon,
+                                         targets=channels), seed=seed)
+    weight = model.params["proj.weight"]
+    weight[...] = rng.normal(scale=0.2, size=weight.shape)
+    bias = model.params["proj.bias"]
+    bias[...] = rng.normal(size=bias.shape)
+    mean, std = values.mean(axis=0), values.std(axis=0)
+    (workdir / "ckpt").mkdir()
+    cli.save_checkpoint(workdir / "ckpt", model, dt.Standardizer(cols, mean, std), seed=seed)
+    return dt.load_csv(workdir / "wide.csv").values, weight, bias, mean, std
+
+
+def test_multi_chunk_evaluate_matches_numpy_oracle(workdir, capsys):
+    # 684 windows span three EVAL_CHUNKs, so every score depends on each
+    # chunk meeting its own slice of the truth and on the last chunk's last row.
+    L, T, C = 12, 5, 4
+    values, weight, bias, mean, std = standardized_linear_checkpoint(workdir, 700, C, L, T, 11)
+    groups = {"total": {"all": ["s0", "s1", "s2", "s3"]},
+              "pair": {"a": ["s0", "s1"], "b": ["s2", "s3"]},
+              "series": {c: [c] for c in ("s0", "s1", "s2", "s3")}}
+    weights = {"total": {"all": 1.0}, "pair": {"a": 0.25, "b": 0.75},
+               "series": {"s0": 0.1, "s1": 0.2, "s2": 0.3, "s3": 0.4}}
+    (workdir / "hier.json").write_text(json.dumps({"levels": [
+        {"name": name, "groups": groups[name], "weights": weights[name]} for name in groups]}))
+    assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv",
+                   "--hierarchy", "hier.json") == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:])
+
+    n = len(values) - L - T + 1
+    scaled = (values - mean) / std
+    windows = np.stack([scaled[s:s + L] for s in range(n)])  # n, L, C
+    pred = (np.einsum("tl,nlc->ntc", weight, windows) + bias[:, None]) * std + mean
+    truth = np.stack([values[s + L:s + L + T] for s in range(n)])
+    assert n > 2 * cli.tr.EVAL_CHUNK and fields["windows"] == str(n)
+    assert float(fields["mse"]) == pytest.approx(np.mean((pred - truth) ** 2), rel=1e-12)
+    assert float(fields["mae"]) == pytest.approx(np.mean(np.abs(pred - truth)), rel=1e-12)
+
+    cut = len(values) - T
+    col = {f"s{j}": j for j in range(C)}
+
+    def rmsse(members):
+        idx = [col[m] for m in members]
+        f, a, h = pred[-1][:, idx].sum(1), values[cut:, idx].sum(1), values[:cut, idx].sum(1)
+        return np.sqrt(np.mean((f - a) ** 2) / np.mean(np.diff(h) ** 2))
+
+    levels = {name: sum(weights[name][g] * rmsse(m) for g, m in groups[name].items())
+              for name in groups}
+    assert float(fields["wrmsse"]) == pytest.approx(np.mean(list(levels.values())), rel=1e-12)
+    for name, score in levels.items():
+        assert float(fields[f"level {name}"]) == pytest.approx(score, rel=1e-12)
+    worst = sorted(((rmsse([c]), c) for c in col), reverse=True)
+    assert fields["worst series"] == " ".join(f"{c}={v:.4f}" for v, c in worst)
+
+
+def test_evaluate_memory_does_not_grow_with_window_count(workdir, capsys):
+    # 2,929 windows in 12 chunks: a forecast kept for every window would alone
+    # exceed the peak allowed here, which ingest and one chunk stay below.
+    L, T, C = 48, 24, 32
+    values, *_ = standardized_linear_checkpoint(workdir, 3000, C, L, T, 5)
+    windows = len(values) - L - T + 1
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"windows: {windows}" in capsys.readouterr().out
+    assert peak < windows * T * C * 8
 
 
 def test_forecast_writes_horizon_rows(workdir):
