@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -117,26 +118,86 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
     columns missing from the header are rejected with the offending
     location named.
     """
+    with reading(path, DataError), open(path, newline="", encoding="utf-8") as fh:
+        parsed = _read_plain(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_cells(path, fh)
+    header, values = parsed
+    schema = dict(schema or {})
+    unknown = set(schema) - set(header)
+    if unknown:
+        raise SchemaError(f"{path}: schema declares missing columns {sorted(unknown)}")
+    roles = {col: schema.get(col, "target") for col in header}
+    return SeriesFrame(values, header, roles)
+
+
+def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
+    """Header and values in one pass of numpy's C reader, or None unless
+    every line is plain and every row well formed and finite.
+
+    On a plain line (no quote, NUL or inner carriage return, and shorter
+    than the csv module's field limit) ``split(",")`` yields the fields
+    ``csv.reader`` does.  numpy parses each field, ASCII only, with the
+    parser ``float()`` uses, so it accepts a subset of the cells the
+    per-cell path does and gives the same values.  Every other file, and
+    every error message, is left to ``_read_cells``.
+    """
+    limit = csv.field_size_limit()
+    count = 0
+
+    def plain_lines():
+        nonlocal count
+        for line in fh:
+            line = line.removesuffix("\n").removesuffix("\r")
+            # Comment lines too: to csv a quote there may open a field that runs on
+            # over the lines below, and an over-long field (or, before Python
+            # 3.11, a NUL) is an error.
+            if '"' in line or "\0" in line or "\r" in line or len(line) >= limit:
+                raise ValueError("not a plain line")  # ends loadtxt where it stands
+            if not line or line.lstrip().startswith("#"):
+                continue
+            count += 1
+            yield line
+
+    lines = plain_lines()
+    try:
+        header, first = next(lines, None), next(lines, None)
+        if first is None:  # no header or no data rows; loadtxt would warn on no data
+            return None
+        values = np.loadtxt(itertools.chain((first,), lines), dtype=np.float64, delimiter=",",
+                            comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # a line that is not plain, a bad or ragged row, or bytes not UTF-8
+        return None
+    header = [c.strip() for c in header.split(",")]
+    if (values.shape != (count - 1, len(header)) or len(set(header)) < len(header)
+            or not np.isfinite(values).all()):
+        return None
+    return header, values
+
+
+def _read_cells(path, fh) -> tuple[list[str], np.ndarray]:
+    """Header and values through ``csv.reader``, cell by cell where needed,
+    with a DataError naming the first bad line or cell."""
     header: list[str] | None = None
     rows: list[list[str]] = []
     line_nums: list[int] = []
-    with reading(path, DataError), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if not row or (row[0].lstrip().startswith("#")):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in row]
-                    continue
-                if len(row) != len(header):
-                    _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
-                    raise DataError(f"{path}: line {reader.line_num}: "
-                                    f"expected {len(header)} fields, got {len(row)}")
-                rows.append(row)
-                line_nums.append(reader.line_num)
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            if not row or (row[0].lstrip().startswith("#")):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                continue
+            if len(row) != len(header):
+                _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                f"expected {len(header)} fields, got {len(row)}")
+            rows.append(row)
+            line_nums.append(reader.line_num)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: no header row found")
     if len(set(header)) < len(header):
@@ -153,12 +214,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
         values = None
     if values is None or not np.all(np.isfinite(values)):
         values = _parse_cells(path, header, rows, line_nums)
-    schema = dict(schema or {})
-    unknown = set(schema) - set(header)
-    if unknown:
-        raise SchemaError(f"{path}: schema declares missing columns {sorted(unknown)}")
-    roles = {col: schema.get(col, "target") for col in header}
-    return SeriesFrame(values, header, roles)
+    return header, values
 
 
 def _parse_cells(path, header: list[str], rows: list[list[str]],

@@ -84,18 +84,20 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
     def vjp_alpha(g):  # d(-ll)/dr times dr/dalpha = -r^2
         dr = np.asarray(_sp.digamma(y + r) - _sp.digamma(r) + log_r - log_sum
                         + 1.0 - (r + y) / r_mu)
-        # Past r = 10 this cancels down to O(1/r^2) and loses digits; redo those elements.
-        big = np.broadcast_to(r > 10.0, dr.shape)
-        if big.any():
-            dr[big] = _nb_bracket(*(np.broadcast_to(a, dr.shape)[big] for a in (r, y, mu.data)))
+        # Past r = 10, and at y = 0 once mu << r, this cancels and loses digits;
+        # redo those elements.
+        redo = np.broadcast_to((r > 10.0) | (y == 0.0), dr.shape)
+        if redo.any():
+            dr[redo] = _nb_bracket(*(np.broadcast_to(a, dr.shape)[redo] for a in (r, y, mu.data)))
         return tc._unbroadcast(g * r * r * dr / n, alpha.data.shape)
 
     return tc._join(np.asarray(-ll.mean()), ((mu, vjp_mu), (alpha, vjp_alpha)))
 
 
 def _nb_bracket(r, y, mu):
-    """psi(y+r) - psi(r) + log r - log(r+mu) + 1 - (r+y)/(r+mu) for r > 10,
-    free of the cancellation of that expression (about 1e-14 relative error).
+    """psi(y+r) - psi(r) + log r - log(r+mu) + 1 - (r+y)/(r+mu) for r > 10 or
+    y = 0, free of the cancellation of that expression (about 1e-14 relative
+    error).
 
     It is [phi(r+y) - phi(r)] + [log1p(t) - t], with phi(x) = psi(x) - log x
     and t = (y-mu)/(r+mu).  phi is its asymptotic series sum_n -c_n x^-n
@@ -103,7 +105,9 @@ def _nb_bracket(r, y, mu):
     u^n - v^n = y u v sum_{j<n} u^(n-1-j) v^j, with u = 1/r and v = 1/(r+y).
     log1p(t) - t is its Taylor series where |t| < 0.1.
     """
-    u, v = 1.0 / r, 1.0 / (r + y)
+    # At y = 0 the phi difference is exactly 0; zero u and v there, where r may
+    # be small enough for the series to overflow.
+    u, v = (np.where(y == 0.0, 0.0, 1.0 / x) for x in (r, r + y))
     coefs = (1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252, 0.0, -1 / 240, 0.0, 1 / 132,
              0.0, -691 / 32760, 0.0, 1 / 12)
     s = v_pow = np.ones_like(u)  # sum_{j<n} u^(n-1-j) v^j and v^(n-1), from n = 1

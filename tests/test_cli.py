@@ -429,6 +429,8 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     "config_no_csv": ("exp.ini", b"[run]\nseed = 1\n", TRAIN),
     "csv_cell_too_large": ("big.csv", b"y0,y1\n1," + b"2" * 200_000 + b"\n",
                            EVALUATE[:-1] + ["big.csv"]),
+    "csv_finite_cell_too_large": ("big.csv", b"y0,y1\n1," + b"0" * 200_000 + b"1\n",
+                                  EVALUATE[:-1] + ["big.csv"]),
     "csv_duplicate_column": ("dup.csv", b"y0,y1,y0\n1,2,3\n", EVALUATE[:-1] + ["dup.csv"]),
     "evaluate_out_directory": ("adir", DIRECTORY, EVALUATE + ["--out", "adir"]),
     "forecast_out_no_parent": ("no/such/fc.csv", None, FORECAST + ["--out", "no/such/fc.csv"]),
@@ -455,6 +457,7 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     ("checkpoint_no_params", "params.bin: No such file or directory"),
     ("config_no_csv", "data.csv must point at a training CSV"),
     ("csv_cell_too_large", "big.csv: line 2: field larger than field limit (131072)"),
+    ("csv_finite_cell_too_large", "big.csv: line 2: field larger than field limit (131072)"),
     ("csv_duplicate_column", "dup.csv: duplicate column name 'y0'"),
     ("evaluate_out_directory", "cannot write adir: Is a directory"),
     ("forecast_out_no_parent", "cannot write no/such/fc.csv: No such file or directory"),

@@ -1,6 +1,7 @@
 """CSV ingest, scaling, windowing, splits, and synthetic generators."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestLoadCsv:
         back = dt.load_csv(path, {"c": "future"})
         np.testing.assert_array_equal(back.values, values)
         assert back.roles == frame.roles
+
+    def test_plain_csv_holds_no_per_cell_strings(self, tmp_path):
+        # save_csv writes CRLF lines: mixcast's own CSVs must parse in one numpy
+        # pass, whose peak stays below the file's size; a str per cell does not.
+        values = make_rng(4).normal(size=(2000, 64))
+        names = [f"c{j}" for j in range(64)]
+        path = tmp_path / "wide.csv"
+        dt.save_csv(dt.SeriesFrame(values, names, dict.fromkeys(names, "target")), path)
+        tracemalloc.start()
+        try:
+            frame = dt.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.values.tobytes() == values.tobytes()
+        assert peak < path.stat().st_size
 
     def test_schema_file_parsing(self, tmp_path):
         spath = tmp_path / "schema.ini"

@@ -24,7 +24,7 @@ from mixcast.errors import DataError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
 from mixcast.rng import make_rng
-from test_data import FIELDS, assert_batch_matches, stacked_windows
+from test_data import FIELDS, assert_batch_matches, outcome, per_cell_values, stacked_windows
 
 BOUNDED = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -143,6 +143,47 @@ def test_load_csv_returns_a_frame_or_raises_data_error(data):
             return
     assert frame.values.shape[1] == len(frame.columns)
     assert np.all(np.isfinite(frame.values))
+
+
+PLAIN_CELLS = st.sampled_from(["0", "-1.5", "2e-3", "7.", " 4 ", "\t5", "+.5"])
+ODD_CELLS = st.sampled_from(["", "  ", '"6"', '"8,9"', '"', "\x00", "\ufeff1", "1_000",
+                             "\u0661\u0662", "nan", "1e400", "1#2", "x"])
+OTHER_LINES = st.sampled_from(["# note", "  # indented note", "#a,\"b", "", "   ", "\t"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(BOUNDED, max_examples=120)
+@given(data=st.data())
+def test_load_csv_matches_the_per_cell_oracle(data):
+    # load_csv parses plain files in one numpy pass and the rest cell by cell;
+    # either way it gives the oracle's values or its DataError text, and no warning.
+    width = data.draw(st.integers(1, 3), label="width")
+    plain = data.draw(st.booleans(), label="plain cells only")
+    cells = PLAIN_CELLS if plain else st.one_of(PLAIN_CELLS, ODD_CELLS)
+    header = ",".join(["a", " b ", "c"][:width])
+    lines = data.draw(st.lists(OTHER_LINES, max_size=2), label="lines above the header")
+    lines.append(("\ufeff" if data.draw(st.booleans(), label="BOM") else "") + header)
+    for _ in range(data.draw(st.integers(0, 4), label="lines below")):
+        if data.draw(st.integers(0, 3), label="other line") == 0:
+            lines.append(data.draw(OTHER_LINES, label="line"))
+        else:
+            n = data.draw(st.sampled_from([width] * 4 + [width - 1, width + 1]), label="fields")
+            lines.append(",".join(data.draw(cells, label="cell") for _ in range(max(n, 1))))
+    text = "".join(line + data.draw(ENDINGS, label="ending") for line in lines)
+    if data.draw(st.booleans(), label="drop last ending"):
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = outcome(per_cell_values, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda p: dt.load_csv(p).values, path)
+    if expected == ("ok", b""):  # the oracle checks for neither a header nor data rows
+        assert got in {("error", f"{path}: no header row found"),
+                       ("error", f"{path}: no data rows found")}
+    else:
+        assert got == expected
 
 
 def quarters(shape):

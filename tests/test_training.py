@@ -1,6 +1,7 @@
 """Losses, optimizer, and the training loop."""
 
 import gc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,19 +141,26 @@ class TestNegativeBinomial:
 
             import mpmath as mp, numpy as np
             mp.mp.dps = 50
+
+            def row(a, m, y):
+                r = 1 / mp.mpf(a)
+                d = r * r * (mp.digamma(y + r) - mp.digamma(r) + mp.log(r / (r + m))
+                             + 1 - (r + y) / (r + m))
+                return f"{a!r},{m!r},{y!r},{float(d)!r}"
+
             rows = ["# alpha,mu,y,dalpha: d/dalpha of the negative binomial -log pmf, "
                     "mpmath at 50 digits"]
-            for a in map(float, np.logspace(-6, 0, 30)):
-                for y in (0.0, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
-                    for m in (0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0):
-                        r = 1 / mp.mpf(a)
-                        d = r * r * (mp.digamma(y + r) - mp.digamma(r) + mp.log(r / (r + m))
-                                     + 1 - (r + y) / (r + m))
-                        rows.append(f"{a!r},{m!r},{y!r},{float(d)!r}")
+            rows += [row(a, m, y) for a in map(float, np.logspace(-6, 0, 30))
+                     for y in (0.0, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
+                     for m in (0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0)]
+            rows += [row(a, m, 0.0) for a in (0.11, 0.15, 0.3, 0.5, 1.0)  # y = 0 with mu << r
+                     for m in (1e-4, 1e-3, 1e-2)]
             open("tests/data/nb_dispersion_grad.csv", "w").write("\\n".join(rows) + "\\n")
 
         The direct bracket cancels as r = 1/alpha grows: at alpha = 1e-6 its
-        error reached 18%.  The loss and d/dmu keep their closed forms bitwise.
+        error reached 18%.  At y = 0 it cancels too once mu << r, whatever r:
+        4.7e-6 at alpha = 0.11, mu = 1e-4.  The loss and d/dmu keep their
+        closed forms bitwise.
         """
         table = np.loadtxt(Path(__file__).parent / "data" / "nb_dispersion_grad.csv",
                            delimiter=",")
@@ -167,6 +175,19 @@ class TestNegativeBinomial:
         r = 1.0 / alpha
         np.testing.assert_array_equal(grads[m.nid].data,
                                       ((r + y) / (r + mu) - y / mu) / len(table))
+
+    def test_dispersion_gradient_at_zero_counts_and_huge_alpha(self):
+        # y = 0 goes through the bracket series at any r; r = 1/alpha this small
+        # must not overflow it.  The closed form is exact here: no cancellation.
+        mu, alpha = np.array([1e-3, 2.0, 1e-3]), np.array([1e25, 1e25, 1e300])
+        tape = tc.Tape()
+        m, a = tape.leaf(mu), tape.leaf(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tc.backward(tape, tr.nb_nll_loss(m, a, np.zeros(3)))[a.nid].data * 3
+        r = 1.0 / alpha
+        np.testing.assert_allclose(got, r * r * (np.log(r / (r + mu)) + mu / (r + mu)),
+                                   rtol=1e-14, atol=0.0)
 
     def test_domain_checks(self):
         with pytest.raises(errors.ParameterError, match="non-negative"):
