@@ -20,10 +20,15 @@ untaped product ``linear`` computes through, and never a node.
 
 ``linear`` records a whole linear map (``w`` along the rows or columns,
 plus a bias) and ``standardize`` a whole 2-D norm with its affine, each as
-one node; there is no ``sub`` or ``div``.  On a tape the time-axis product
-of ``linear`` is one GEMM over every column of the batch; without a tape it
-stays the broadcast product, which reads the input in place where the
-GEMM layout would copy it.
+one node; there is no ``sub`` or ``div``.  The time-axis product of
+``linear`` is one GEMM over every column of the batch; without a tape it is
+the broadcast product, which reads the input in place where the GEMM layout
+would copy it, unless the input is narrow and the map tall (``NARROW_COLS``).
+Without a tape, each op writes its epilogue (bias, affine) into the buffer
+it just allocated.
+
+``softplus``'s gradient imports ``scipy.special`` when it first runs, so a
+forward alone never loads it.
 
 ``grad_check`` compares tape gradients against central finite
 differences and is the ground truth the rest of the package is tested
@@ -32,10 +37,10 @@ against.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     ContractError,
@@ -46,6 +51,12 @@ from .errors import (
 )
 
 MAX_RANK = 3
+
+# An untaped time-axis ``linear`` on at most this many columns, with more than
+# this many output rows, uses the one-GEMM column layout: there one GEMM per
+# sample is too narrow to be fast, and the map is tall enough to pay for the
+# copy.  Measured at lookbacks 24 to 512 and 12 to 321 columns, 1 BLAS thread.
+NARROW_COLS = 32
 
 
 class Tensor:
@@ -175,7 +186,8 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and allocate nothing, unlike isfinite(arr).
+    if not (arr.size == 0 or (math.isfinite(arr.min()) and math.isfinite(arr.max()))):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -213,14 +225,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear(x, w, b, time_axis: bool) -> Tensor:
     """``w`` (O x I) applied along the rows of ``x`` (``time_axis``) or along
-    its columns, plus ``b`` (O,), as one node with closed-form VJPs.
+    its columns, plus ``b`` (O,), as one node with closed-form VJPs.  The
+    bias is added into the product's own output.
 
-    On a tape, the time-axis product is one (O x I) @ (I x batch*cols) GEMM
-    over every column of the batch, forward and backward, instead of one
-    GEMM per sample plus a per-sample weight gradient that is summed away;
-    ``x`` is copied once into that column layout, which the weight gradient
-    needs too.  Without a tape it is the plain broadcast product, which
-    reads ``x`` in place.
+    The time-axis product is one (O x I) @ (I x batch*cols) GEMM over every
+    column of the batch, forward and backward, instead of one GEMM per sample
+    plus a per-sample weight gradient that is summed away; ``x`` is copied
+    once into that column layout, which the weight gradient needs too.
+    Without a tape it is the plain broadcast product instead, which reads
+    ``x`` in place, except when ``x`` has at most ``NARROW_COLS`` columns and
+    ``w`` more than ``NARROW_COLS`` rows.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if w.ndim != 2 or b.shape != w.shape[:1]:
@@ -229,24 +243,32 @@ def linear(x, w, b, time_axis: bool) -> Tensor:
         along = "rows" if time_axis else "columns"
         raise DimensionError(f"linear: weight {w.shape} cannot map the {along} of shape {x.shape}")
     if not time_axis:
-        return _join(matmul(x.data, w.data.T) + b.data, (
+        out = matmul(x.data, w.data.T)
+        out += b.data
+        return _join(out, (
             (x, lambda g: g @ w.data),
             (w, lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T),
             (b, lambda g: _unbroadcast(g, b.data.shape)),
         ))
-    if x.tape is None and w.tape is None and b.tape is None:
-        return Tensor._wrap(matmul(w.data, x.data) + b.data[:, None])
+    narrow_and_tall = x.shape[-1] <= NARROW_COLS < w.shape[0]
+    if x.tape is None and w.tape is None and b.tape is None and not narrow_and_tall:
+        out = matmul(w.data, x.data)
+        out += b.data[:, None]
+        return Tensor._wrap(out)
+    # At rank <= 3, swapaxes(0, -2) is moveaxis(-2, 0) and its inverse, at less cost.
     O, I = w.shape
-    cols = np.moveaxis(x.data, -2, 0).reshape(I, -1)
+    cols = x.data.swapaxes(0, -2).reshape(I, -1)
     others = x.shape[:-2] + x.shape[-1:]  # a shape, so no VJP keeps ``x`` alive
 
     def batch_view(m: np.ndarray) -> np.ndarray:
-        return np.moveaxis(m.reshape(m.shape[:1] + others), 0, -2)
+        return m.reshape(m.shape[:1] + others).swapaxes(0, -2)
 
     def as_cols(g: np.ndarray) -> np.ndarray:
-        return np.moveaxis(g, -2, 0).reshape(O, -1)
+        return g.swapaxes(0, -2).reshape(O, -1)
 
-    return _join(batch_view(matmul(w.data, cols)) + b.data[:, None], (
+    out = batch_view(matmul(w.data, cols))
+    out += b.data[:, None]
+    return _join(out, (
         (x, lambda g: batch_view(w.data.T @ as_cols(g))),
         (w, lambda g: as_cols(g) @ cols.T),
         (b, lambda g: _unbroadcast(g, (O, 1))[:, 0]),
@@ -306,7 +328,7 @@ def standardize(a, axes, floor: float, affine=None,
     mean and the unfloored variance: ``a``'s own moments over the ``axes`` tuple
     (kept), which the gradient flows through except where var <= floor, or the
     fixed ``stats = (mean, var)``, constants the closed-form VJPs never read.
-    ``affine = (scale, shift)`` is optional."""
+    ``affine = (scale, shift)`` is optional and must broadcast into ``a``'s shape."""
     a = _lift(a)
     if stats is None:
         m = a.data.mean(axis=axes, keepdims=True)
@@ -329,7 +351,13 @@ def standardize(a, axes, floor: float, affine=None,
     if affine is None:
         return _join(xn, ((a, vjp),)), m, v
     scale, shift = map(_lift, affine)
-    return _join(xn * scale.data + shift.data, (
+    if a.tape is None and scale.tape is None and shift.tape is None:
+        out = xn  # no VJP will read ``xn``, so the affine overwrites it
+        out *= scale.data
+    else:
+        out = xn * scale.data
+    out += shift.data
+    return _join(out, (
         (a, vjp),
         (scale, lambda g: _unbroadcast(g * xn, scale.shape)),
         (shift, lambda g: _unbroadcast(g, shift.shape)),
@@ -351,7 +379,13 @@ def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed overflow-free via logaddexp."""
     a = _lift(a)
     out = np.logaddexp(0.0, a.data)
-    return _join(out, ((a, lambda g: g * _sp.expit(a.data)),))
+
+    def vjp(g):
+        # Imported here, so only a gradient pays scipy.special's import.
+        from scipy.special import expit
+        return g * expit(a.data)
+
+    return _join(out, ((a, vjp),))
 
 
 def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from . import tensor as tc
 from .data import WindowBatch
@@ -63,6 +62,9 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
     must be non-negative (integer-valued in the usual use).  The operands
     broadcast, and the loss is one tape node with closed-form VJPs.
     """
+    # Imported here, so only the negative-binomial head pays scipy.special's import.
+    from scipy import special as _sp
+
     mu, alpha = _lift(mean), _lift(dispersion)
     y = np.asarray(counts.data if isinstance(counts, Tensor) else counts, dtype=np.float64)
     if np.any(y < 0):

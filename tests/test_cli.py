@@ -5,8 +5,11 @@ files can be asserted directly; training runs are kept tiny.
 """
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -687,3 +690,42 @@ def test_verify_theory_needs_a_trial(capsys, trials):
 def test_verify_theory_corrupt_negative_control(capsys):
     assert run_cli("verify-theory", "--trials", "5", "--corrupt") == 1
     assert "VIOLATION" in capsys.readouterr().out
+
+
+SCIPY_SPECIAL_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+import numpy as np
+import mixcast.cli as cli
+from mixcast import data as dt, models as md, training as tr
+
+def loaded():
+    return [m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special.")]
+
+frame = dt.synth_periodic(8, 80, variates=2, seed=0)
+windows = dt.make_windows(frame, dt.WindowSpec(16, 4))
+model = md.Forecaster(md.ModelConfig(family="tsmixer", lookback=16, horizon=4, targets=2,
+                                     hidden=4, blocks=1), seed=0)
+tr.train(model, windows, windows, tr.TrainConfig(max_epochs=1, batch_size=len(windows)))
+ckpt = sys.argv[1]
+dt.save_csv(frame, ckpt + "/y.csv")
+linear = md.Forecaster(md.ModelConfig(family="linear", lookback=16, horizon=4, targets=2), seed=0)
+cli.save_checkpoint(Path(ckpt), linear, None, 0)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["evaluate", "--checkpoint", ckpt, "--csv", ckpt + "/y.csv"]) == 0
+print(loaded())
+tr.nb_nll_loss(np.ones(3), np.ones(3), np.arange(3.0))
+print("scipy.special" in loaded())
+"""
+
+
+def test_only_the_negative_binomial_head_imports_scipy_special(tmp_path):
+    """A point-head training step and an evaluate leave scipy.special
+    unloaded; the first negative-binomial loss loads it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "True"], done.stdout

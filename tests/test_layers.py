@@ -1,6 +1,8 @@
 """Mixing blocks, 2-D normalization, reversible instance normalization,
 and the binary parameter container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -524,3 +526,19 @@ class TestParamContainer:
         path.write_bytes(blob[:-16])
         with pytest.raises(errors.FormatError, match="truncated"):
             load_params(path)
+
+
+def test_eval_norm2d_allocates_one_output():
+    """An eval-mode batch norm writes its affine into its own output, and its
+    finiteness check allocates nothing."""
+    norm = batch_norm(512, 21)
+    norm.running_mean[...], norm.running_var[...] = 0.3, 1.7
+    x = Tensor(make_rng(61).normal(size=(64, 512, 21)))
+    ly.norm2d(x, norm, "eval")  # warm-up: nothing lazy is counted below
+    tracemalloc.start()
+    try:
+        out = ly.norm2d(x, norm, "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.data.nbytes, (peak, out.data.nbytes)

@@ -462,3 +462,62 @@ class TestBatchedMatmul:
         tc.linear(x, tape.leaf(rng.normal(size=(2, 5))), tape.leaf(rng.normal(size=2)), True)
         del x
         assert alive() is None
+
+
+class TestRequireFinite:
+    """``_require_finite`` checks with min and max; these pin what it means."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_on_any_non_finite_element(self, bad):
+        arr = np.arange(7.0)
+        arr[3] = bad
+        with pytest.raises(errors.NumericError, match="probe"):
+            tc._require_finite(arr, "probe")
+
+    def test_accepts_empty_and_extreme_finite_arrays(self):
+        tc._require_finite(np.empty((0, 3)), "probe")
+        tc._require_finite(np.array([1.7e308, -1.7e308, 1.7e308]), "probe")
+
+
+class TestOwnedEpilogues:
+    """Without a tape, the bias and the affine go into the op's own output."""
+
+    def test_untaped_affine_equals_taped(self):
+        rng = make_rng(48)
+        x = rng.normal(size=(4, 6, 3))
+        scale, shift = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        tape = Tape()
+        taped = tc.standardize(tape.leaf(x), (0, 1), FLOOR, (scale, shift))[0]
+        untaped = tc.standardize(x, (0, 1), FLOOR, (scale, shift))[0]
+        np.testing.assert_array_equal(untaped.data, taped.data)
+
+    def test_untaped_time_axis_bias_allocates_one_output(self):
+        rng = make_rng(49)
+        cols = tc.NARROW_COLS + 8
+        frame = dt.SeriesFrame(rng.normal(size=(400, cols)), [f"c{j}" for j in range(cols)],
+                               {f"c{j}": "target" for j in range(cols)})
+        history = dt.make_windows(frame, dt.WindowSpec(256, 24)).history
+        w, b = Tensor(rng.normal(size=(24, 256))), Tensor(rng.normal(size=24))
+        tc.linear(history, w, b, True)  # warm-up: nothing lazy is counted below
+        tracemalloc.start()
+        try:
+            out = tc.linear(history, w, b, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.data.nbytes, (peak, out.data.nbytes)
+
+    @pytest.mark.parametrize("shape, rows", [
+        ((5, 16, 3), 40), ((16, 3), 40), ((5, 16, tc.NARROW_COLS), tc.NARROW_COLS + 1),
+        ((5, 16, tc.NARROW_COLS + 1), 40), ((5, 16, 3), tc.NARROW_COLS)])
+    def test_untaped_time_axis_matches_einsum_in_one_gemm(self, shape, rows, monkeypatch):
+        """Both layouts, on either side of each ``NARROW_COLS`` bound."""
+        rng = make_rng(50)
+        x, w, b = rng.normal(size=shape), rng.normal(size=(rows, 16)), rng.normal(size=rows)
+        calls = []
+        matmul = tc.matmul
+        monkeypatch.setattr(tc, "matmul", lambda a, c: calls.append(1) or matmul(a, c))
+        got = tc.linear(x, w, b, True).data
+        want = np.einsum("oi,...ic->...oc", w, x) + b[:, None]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert len(calls) == 1
