@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from . import data as dt
@@ -337,18 +338,19 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{args.csv}: needs at least {cfg.lookback + cfg.horizon} rows to evaluate")
     target_cols = frame.columns_for("target")
     idx = raw_frame.indices_for("target")
-    truth = dt.window_view(raw_frame.values[cfg.lookback:], idx, 1, len(windows), cfg.horizon)
+    # Window k's truth is rows [k, k + horizon) of a row-major copy, laid out like its forecast.
+    truth = sliding_window_view(np.ascontiguousarray(raw_frame.values[cfg.lookback:, idx]),
+                                cfg.horizon, axis=0).swapaxes(1, 2)
     # Score each chunk as it is forecast, so memory does not grow with the window count.
     sq_sum = abs_sum = 0.0
-    for lo in range(0, len(windows), tr.EVAL_CHUNK):
-        chunk = windows.subset(slice(lo, lo + tr.EVAL_CHUNK))
+    for rows, chunk in tr.eval_chunks(windows):
         out = model.forward(chunk.history, chunk.future, chunk.static)
         pred = (out.point if out.point is not None else out.mean).data
         if scaler is not None:
             pred = scaler.invert(pred, target_cols)
-        err = pred - truth[lo:lo + tr.EVAL_CHUNK]
+        err = pred - truth[rows]
         sq_sum += float(np.sum(err ** 2))
-        abs_sum += float(np.sum(np.abs(err)))
+        abs_sum += float(np.sum(np.abs(err, out=err)))
     mse, mae = sq_sum / truth.size, abs_sum / truth.size
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
              f"mse: {mse!r}", f"mae: {mae!r}"]
@@ -357,14 +359,11 @@ def cmd_evaluate(args) -> int:
         spec = mt.load_hierarchy(args.hierarchy)
         # Single holdout: the last window (stride 1) forecasts the final horizon.
         cut = raw_frame.n_steps - cfg.horizon
-        forecasts = {c: pred[-1, :, k] for k, c in enumerate(target_cols)}
-        actuals = {c: raw_frame.values[cut:, j] for c, j in zip(target_cols, idx)}
-        histories = {c: raw_frame.values[:cut, j] for c, j in zip(target_cols, idx)}
-        score, per_level = mt.wrmsse(forecasts, actuals, histories, spec)
+        series = [pred[-1].T, raw_frame.values[cut:, idx].T, raw_frame.values[:cut, idx].T]
+        score, per_level = mt.wrmsse(*(dict(zip(target_cols, s)) for s in series), spec)
         lines.append(f"wrmsse: {score!r}")
         lines += [f"level {name}: {value!r}" for name, value in per_level.items()]
-        per_series = sorted(((mt.rmsse(forecasts[c], actuals[c], histories[c]), c)
-                             for c in target_cols), reverse=True)
+        per_series = sorted(zip(mt.rmsse(*series).tolist(), target_cols), reverse=True)
         worst = " ".join(f"{c}={v:.4f}" for v, c in per_series[:5])
         lines.append(f"worst series: {worst}")
 

@@ -245,10 +245,10 @@ def save_csv(frame: SeriesFrame, path, header_lines: tuple[str, ...] = ()) -> No
     with reading(path, ConfigurationError, "write"), open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(frame.columns)
-        for row in frame.values:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(frame.columns)
+        # A float's repr never needs quoting, so each row is what csv.writer would write.
+        # Rows convert one at a time, so no Python float outlives its row.
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in frame.values)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ is the mean over levels.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,23 +25,28 @@ from .errors import MetricError, SchemaError, reading
 WEIGHT_ATOL = 1e-9
 
 
-def rmsse(forecast, actual, train_history) -> float:
-    """Root mean squared scaled error of one series over one horizon."""
-    f = np.asarray(forecast, dtype=np.float64).reshape(-1)
-    a = np.asarray(actual, dtype=np.float64).reshape(-1)
-    h = np.asarray(train_history, dtype=np.float64).reshape(-1)
-    if f.shape != a.shape or f.size == 0:
-        raise MetricError(f"forecast horizon {f.shape} does not match actuals {a.shape}")
-    nonzero = np.nonzero(h)[0]
-    if nonzero.size == 0:
-        raise MetricError("rmsse: history has no nonzero observations")
-    live = h[nonzero[0]:]
-    if live.size < 2:
-        raise MetricError("rmsse: history needs at least two live observations")
-    scale = float(np.mean(np.diff(live) ** 2))
-    if scale <= 0.0:
-        raise MetricError("rmsse: history is constant, the scale is undefined")
-    return float(np.sqrt(np.mean((f - a) ** 2) / scale))
+def rmsse(forecast, actual, train_history) -> float | np.ndarray:
+    """Root mean squared scaled error over one horizon, one series per row:
+    (k, T) forecasts and actuals with (k, n) histories give (k,) scores, and
+    1-D arrays are one series and give a float.  A bad row raises for the
+    first one; each row is scored exactly as it would be alone."""
+    one = np.ndim(forecast) < 2
+    f, a, h = (np.atleast_2d(np.asarray(x, dtype=np.float64))
+               for x in (forecast, actual, train_history))
+    if f.shape != a.shape or f.shape[1] == 0:
+        raise MetricError(f"forecast horizon {f.shape[1:]} does not match actuals {a.shape[1:]}")
+    live = np.logical_or.accumulate(h != 0, axis=1).sum(axis=1)  # from the first nonzero on
+    scale = np.mean(np.diff(h, axis=1) ** 2, axis=1) if h.shape[1] > 1 else np.zeros(len(h))
+    for i in np.flatnonzero((live < h.shape[1]) & (live > 1)):  # leading zeros: own live slice
+        scale[i] = np.mean(np.diff(h[i, -live[i]:]) ** 2)
+    bad = (live < 2) | (scale <= 0.0)
+    if bad.any():
+        i = bad.argmax()
+        raise MetricError("rmsse: history has no nonzero observations" if live[i] == 0 else
+                          "rmsse: history needs at least two live observations" if live[i] < 2
+                          else "rmsse: history is constant, the scale is undefined")
+    scores = np.sqrt(np.mean((f - a) ** 2, axis=1) / scale)
+    return float(scores[0]) if one else scores
 
 
 @dataclass
@@ -89,21 +95,42 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
     """Weighted RMSSE over a hierarchy; returns (score, per-level scores).
 
     ``forecasts``/``actuals`` map base series ids to horizon arrays and
-    ``histories`` to their training histories; aggregates sum members.
+    ``histories`` to their training histories, all of one length per kind;
+    aggregates sum their members in listed order.
     """
     ids = sorted(forecasts)
     if set(actuals) != set(ids) or set(histories) != set(ids):
         raise MetricError("wrmsse: forecasts, actuals, and histories must cover the same series")
     spec.validate(ids)
+    parts = [[np.asarray(d[c], dtype=np.float64).reshape(-1)
+              for d in (forecasts, actuals, histories)] for c in ids]
+    lengths = [tuple(map(len, p)) for p in parts]
+    for c, n in zip(ids, lengths):
+        if n != lengths[0]:
+            raise MetricError(f"wrmsse: series {c!r} has forecast, actual and history lengths "
+                              f"{n}, but {ids[0]!r} has {lengths[0]}")
+    base = np.array([np.concatenate(p) for p in parts])  # one row per series: f | a | h
+    index = {c: i for i, c in enumerate(ids)}
     per_level: dict[str, float] = {}
     for level in spec.levels:
+        rows = _aggregate(base, [[index[m] for m in ms] for ms in level.groups.values()])
+        scores = rmsse(*np.split(rows, np.cumsum(lengths[0][:2]), axis=1))
         score = 0.0
-        for agg, members in level.groups.items():
-            f, a, h = (np.sum([np.asarray(series[m], dtype=np.float64) for m in members], axis=0)
-                       for series in (forecasts, actuals, histories))
-            score += level.weights[agg] * rmsse(f, a, h)
+        for agg, r in zip(level.groups, scores.tolist()):
+            score += level.weights[agg] * r
         per_level[level.name] = score
     return float(np.mean(list(per_level.values()))), per_level
+
+
+def _aggregate(rows: np.ndarray, groups: list[list[int]]) -> np.ndarray:
+    """One row per group: its members' ``rows`` added in their listed order."""
+    order = sorted(range(len(groups)), key=lambda k: len(groups[k]), reverse=True)
+    ranked = [groups[k] for k in order]  # largest first, so the groups still adding lead
+    out = rows[[g[0] for g in ranked]]
+    for j in range(1, len(ranked[0])):
+        members = [g[j] for g in itertools.takewhile(lambda g: len(g) > j, ranked)]
+        out[:len(members)] += rows[members]
+    return out[np.argsort(order)]
 
 
 def load_hierarchy(path) -> HierarchySpec:

@@ -30,8 +30,10 @@ OBJECTIVES = ("mse", "nb_nll")
 # Validation improvements smaller than this are treated as ties.
 IMPROVEMENT_ATOL = 1e-12
 
-# Windows per eval-mode forward pass, bounding its memory.
+# Windows per eval-mode forward pass, bounding its memory: at most
+# EVAL_CHUNK, and no more than fit one chunk's history into EVAL_BYTES.
 EVAL_CHUNK = 256
+EVAL_BYTES = 8 << 20
 
 # Adam moment decay rates and denominator floor.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -221,11 +223,20 @@ def dataset_loss(model: Forecaster, windows: WindowBatch, objective: str = "mse"
     if len(windows) == 0:
         raise ParameterError("dataset_loss: empty window set")
     total = 0.0
-    for lo in range(0, len(windows), EVAL_CHUNK):
-        chunk = windows.subset(slice(lo, lo + EVAL_CHUNK))
+    for _, chunk in eval_chunks(windows):
         loss = _loss_for(model, chunk, objective, "eval", None, None)
         total += loss.item() * len(chunk)
     return total / len(windows)
+
+
+def eval_chunks(windows: WindowBatch):
+    """``(rows, windows.subset(rows))`` for consecutive slices ``rows`` that
+    cover ``windows``, each small enough for one eval-mode forward pass."""
+    lookback, channels = windows.history.shape[1:]
+    step = min(EVAL_CHUNK, max(1, EVAL_BYTES // (8 * lookback * channels)))
+    for lo in range(0, len(windows), step):
+        rows = slice(lo, lo + step)
+        yield rows, windows.subset(rows)
 
 
 def _batch_slices(n: int, batch_size: int, avoid_singleton: bool) -> list[slice]:

@@ -625,6 +625,72 @@ def test_evaluate_memory_does_not_grow_with_window_count(workdir, capsys):
     assert peak < windows * T * C * 8
 
 
+def test_evaluate_and_dataset_loss_do_not_depend_on_the_chunk_size(workdir, capsys, monkeypatch):
+    # One tsmixer checkpoint scored at 1, 7 and 256 windows per chunk: the
+    # hierarchy lines come from the last window alone and must not move; mse,
+    # mae and the loss are sums over chunks and may round in the last digits.
+    L, T, C = 12, 5, 4
+    values, *_ = standardized_linear_checkpoint(workdir, 700, C, L, T, 13)
+    model = md.Forecaster(md.ModelConfig(family="tsmixer", lookback=L, horizon=T, targets=C,
+                                         hidden=8, blocks=2), seed=13)
+    mean, std = values.mean(axis=0), values.std(axis=0) + 0.5
+    cols = [f"s{j}" for j in range(C)]
+    cli.save_checkpoint(workdir / "ckpt", model, dt.Standardizer(cols, mean, std), seed=13)
+    (workdir / "hier.json").write_text(json.dumps({"levels": [
+        {"name": "total", "groups": {"all": cols}, "weights": {"all": 1.0}},
+        {"name": "pair", "groups": {"a": cols[:2], "b": cols[2:]},
+         "weights": {"a": 0.5, "b": 0.5}},
+        {"name": "series", "groups": {c: [c] for c in cols}, "weights": dict.fromkeys(cols, 0.25)},
+    ]}))
+    windows = dt.make_windows(dt.Standardizer(cols, mean, std).apply(dt.load_csv("wide.csv")),
+                              dt.WindowSpec(L, T))
+    reports, losses = [], []
+    for per_chunk in (1, 7, 256):
+        monkeypatch.setattr(cli.tr, "EVAL_BYTES", per_chunk * 8 * L * C)
+        sizes = [len(chunk) for _, chunk in cli.tr.eval_chunks(windows)]
+        assert sizes[0] == per_chunk and sum(sizes) == len(windows) == 684
+        assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv",
+                       "--hierarchy", "hier.json") == 0
+        reports.append(dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[1:]))
+        losses.append(cli.tr.dataset_loss(model, windows))
+    for report in reports[1:]:
+        assert report.keys() == reports[0].keys()
+        for key, text in report.items():
+            if key in ("mse", "mae"):
+                assert float(text) == pytest.approx(float(reports[0][key]), rel=1e-12)
+            else:
+                assert text == reports[0][key], key
+    assert losses[1:] == pytest.approx([losses[0]] * 2, rel=1e-12)
+
+
+def test_evaluate_memory_is_bounded_by_chunk_bytes(workdir, capsys, monkeypatch):
+    # At lookback 512 and 321 channels a chunk holds 6 windows, so 40 windows
+    # peak at ingest plus a few MiB; scored as one 40-window chunk they do not.
+    L, T, C = 512, 96, 321
+    standardized_linear_checkpoint(workdir, L + T + 39, C, L, T, 7)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def ingest():
+        _, scaler = cli.load_checkpoint("ckpt")
+        return dt.make_windows(scaler.apply(dt.load_csv("wide.csv")), dt.WindowSpec(L, T))
+
+    def evaluate():
+        assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv") == 0
+
+    bound = peak(ingest) + 2 * cli.tr.EVAL_BYTES
+    assert peak(evaluate) < bound
+    monkeypatch.setattr(cli.tr, "EVAL_BYTES", 256 * 8 * L * C)
+    assert peak(evaluate) > bound
+    assert capsys.readouterr().out.count("windows: 40\n") == 2
+
+
 def test_forecast_writes_horizon_rows(workdir):
     out = train_linear(workdir)
     assert run_cli("forecast", "--checkpoint", str(out), "--csv", "series.csv",

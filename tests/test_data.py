@@ -65,6 +65,22 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.values, values)
         assert back.roles == frame.roles
 
+    def test_save_csv_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, 5e-324],
+                           [0.1, -2.5e17, 123456789.125]])
+        names = ["plain", 'says "hi", twice', "c"]
+        frame = dt.SeriesFrame(np.zeros_like(values), names, dict.fromkeys(names, "target"))
+        frame.values = values  # a frame rejects nan and inf; the writer must not mangle them
+        path = tmp_path / "fast.csv"
+        dt.save_csv(frame, path, header_lines=("made by a test", "seed 3"))
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            fh.write("# made by a test\n# seed 3\n")
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            for row in values:
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_plain_csv_holds_no_per_cell_strings(self, tmp_path):
         # save_csv writes CRLF lines: mixcast's own CSVs must parse in one numpy
         # pass, whose peak stays below the file's size; a str per cell does not.

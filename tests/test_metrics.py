@@ -34,6 +34,15 @@ class TestRmsse:
         with pytest.raises(errors.MetricError):
             mt.rmsse(np.ones(3), np.ones(2), np.arange(5.0))
 
+    def test_rows_score_each_series(self):
+        forecasts, actuals, histories, _ = toy_problem()
+        ids = sorted(forecasts)
+        rows = [np.array([d[i] for i in ids]) for d in (forecasts, actuals, histories)]
+        scores = mt.rmsse(*rows)
+        assert scores.shape == (3,)
+        assert scores.tolist() == [mt.rmsse(forecasts[i], actuals[i], histories[i]) for i in ids]
+        assert isinstance(mt.rmsse(forecasts["s1"], actuals["s1"], histories["s1"]), float)
+
     def test_one_step_naive_on_random_walk_scores_near_one(self):
         # The scale is built from one-step differences, so the matching
         # reference is the one-step naive: forecast each horizon step from
@@ -92,6 +101,14 @@ class TestWrmsse:
         score, per_level = mt.wrmsse(forecasts, dict(forecasts), histories, spec)
         assert score == 0.0
         assert all(v == 0.0 for v in per_level.values())
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_series_of_different_lengths_named(self, which):
+        problem = toy_problem()
+        problem[which]["s2"] = problem[which]["s2"][:-1]
+        with pytest.raises(errors.MetricError, match="series 's2' has forecast, actual and "
+                           "history lengths"):
+            mt.wrmsse(*problem)
 
     def test_orphan_series_named(self):
         forecasts, actuals, histories, spec = toy_problem()

@@ -1,5 +1,5 @@
 """Property-based tests (Hypothesis) for the on-disk formats, the CSV
-reader, windowing and splits, and tape gradients.
+reader, windowing and splits, tape gradients and row-wise RMSSE.
 
 Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
@@ -17,10 +17,11 @@ from hypothesis.extra import numpy as hnp
 
 from mixcast import cli
 from mixcast import data as dt
+from mixcast import metrics as mt
 from mixcast import models as md
 from mixcast import tensor as tc
 from mixcast import training as tr
-from mixcast.errors import DataError, MixcastError
+from mixcast.errors import DataError, MetricError, MixcastError
 from mixcast.layers import VAR_FLOOR
 from mixcast.params_io import load_params, save_params
 from mixcast.rng import make_rng
@@ -360,3 +361,53 @@ def test_windows_and_splits_match_the_stacked_oracle(data):
                         if len(batch) else st.just([]), label="idx")
         assert_frozen(batch.subset(np.array(idx, dtype=np.int64)))
         assert_frozen(batch.subset(slice(1, None, 2)))
+
+
+@settings(BOUNDED, max_examples=120)
+@given(data=st.data(), k=st.integers(1, 6), horizon=st.integers(1, 5), steps=st.integers(0, 140))
+def test_rowwise_rmsse_matches_each_row_alone(data, k, horizon, steps):
+    """Scoring k series at once gives each one's own score bit for bit, or
+    the error its first bad row raises alone: no nonzero value, fewer than
+    two live observations, or a constant history.  One series alone scores
+    as ``one_series_rmsse`` does."""
+    values = st.floats(-1e6, 1e6)
+    forecast, actual = (data.draw(hnp.arrays(np.float64, (k, horizon), elements=values))
+                        for _ in range(2))
+    history = data.draw(hnp.arrays(np.float64, (k, steps), elements=values))
+    for row in history:
+        row[:data.draw(st.integers(0, steps))] = 0.0  # leading zeros
+        if data.draw(st.booleans()):
+            row[row != 0] = data.draw(st.sampled_from([1.0, -3.5]))  # constant once live
+
+    def alone(i):
+        try:
+            return mt.rmsse(forecast[i], actual[i], history[i])
+        except MetricError as exc:
+            return str(exc)
+
+    each = [alone(i) for i in range(k)]
+    assert [repr(e) for e in each] == [repr(one_series_rmsse(*r)) for r in zip(forecast, actual,
+                                                                            history)]
+    errors = [e for e in each if isinstance(e, str)]
+    if errors:
+        with pytest.raises(MetricError) as exc:
+            mt.rmsse(forecast, actual, history)
+        assert str(exc.value) == errors[0]
+    else:
+        assert all(isinstance(e, float) for e in each)
+        assert mt.rmsse(forecast, actual, history).tobytes() == np.array(each).tobytes()
+
+
+def one_series_rmsse(f, a, h):
+    """RMSSE of one series as mixcast computed it before rows: the score, or
+    the MetricError text."""
+    nonzero = np.nonzero(h)[0]
+    if nonzero.size == 0:
+        return "rmsse: history has no nonzero observations"
+    live = h[nonzero[0]:]
+    if live.size < 2:
+        return "rmsse: history needs at least two live observations"
+    scale = float(np.mean(np.diff(live) ** 2))
+    if scale <= 0.0:
+        return "rmsse: history is constant, the scale is undefined"
+    return float(np.sqrt(np.mean((f - a) ** 2) / scale))
