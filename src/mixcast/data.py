@@ -134,11 +134,14 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
 
 def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
     """Header and values in one pass of numpy's C reader, or None unless
-    every line is plain and every row well formed and finite.
+    every row is well formed and finite and every cell plain.
 
-    On a plain line (no quote, NUL or inner carriage return, and shorter
-    than the csv module's field limit) ``split(",")`` yields the fields
-    ``csv.reader`` does.  numpy parses each field, ASCII only, with the
+    A plain line (no quote, NUL or line break, and shorter than the csv
+    module's field limit) goes to numpy as it stands, since ``split(",")``
+    yields the fields ``csv.reader`` does.  Any other line starts a record
+    that ``csv.reader`` reads, on over the lines below while a quoted field
+    is open, and numpy gets its cells joined by commas, unless a cell holds
+    a comma or is not plain.  numpy parses each field, ASCII only, with the
     parser ``float()`` uses, so it accepts a subset of the cells the
     per-cell path does and gives the same values.  Every other file, and
     every error message, is left to ``_read_cells``.
@@ -146,19 +149,28 @@ def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
     limit = csv.field_size_limit()
     count = 0
 
+    def plain(text):
+        return len(text) < limit and not (
+            '"' in text or "\0" in text or "\r" in text or "\n" in text)
+
     def plain_lines():
         nonlocal count
         for line in fh:
-            line = line.removesuffix("\n").removesuffix("\r")
-            # Comment lines too: to csv a quote there may open a field that runs on
-            # over the lines below, and an over-long field (or, before Python
-            # 3.11, a NUL) is an error.
-            if '"' in line or "\0" in line or "\r" in line or len(line) >= limit:
-                raise ValueError("not a plain line")  # ends loadtxt where it stands
-            if not line or line.lstrip().startswith("#"):
-                continue
+            text = line.removesuffix("\n").removesuffix("\r")
+            if plain(text):
+                if not text or text.lstrip().startswith("#"):
+                    continue
+            else:
+                # Read as csv reads it, a comment too: a quote may open a field
+                # that runs on over the lines below.
+                row = next(csv.reader(itertools.chain((line,), fh)))
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                text = ",".join(row)
+                if text.count(",") >= len(row) or not plain(text):
+                    raise ValueError("not a plain cell")  # ends loadtxt where it stands
             count += 1
-            yield line
+            yield text
 
     lines = plain_lines()
     try:
@@ -167,7 +179,8 @@ def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
             return None
         values = np.loadtxt(itertools.chain((first,), lines), dtype=np.float64, delimiter=",",
                             comments=None, quotechar=None, ndmin=2)
-    except ValueError:  # a line that is not plain, a bad or ragged row, or bytes not UTF-8
+    except (ValueError, csv.Error):
+        # a cell that is not plain, a bad or ragged row, bytes not UTF-8, or a too-long field
         return None
     header = [c.strip() for c in header.split(",")]
     if (values.shape != (count - 1, len(header)) or len(set(header)) < len(header)

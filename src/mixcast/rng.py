@@ -5,6 +5,9 @@ explicitly and threaded through call signatures.  Philox is counter
 based, so (seed, stream) fully determines the bit stream regardless of
 how many draws other parts of the program make: runs are reproducible
 bit-for-bit and independent streams never collide.
+
+Dropout reads raw 64-bit outputs as four 16-bit lanes, lane j being bits
+16j..16j+15, so its masks are defined by arithmetic and match on any host.
 """
 
 from __future__ import annotations

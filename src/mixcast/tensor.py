@@ -389,10 +389,14 @@ def softplus(a) -> Tensor:
 
 
 def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale by 1/(1-rate).
+    """Inverted dropout at ``rate`` rounded to a multiple of 2**-16, with an
+    exact expectation.
 
-    Eval mode (and rate 0) is the identity and consumes no randomness, so
-    expectations match between train and eval.
+    Each raw 64-bit output of ``rng``'s bit generator is four 16-bit lanes,
+    lowest bits first.  An element is dropped when its lane is below
+    ``k = min(round(rate * 65536), 65535)``, and survivors are scaled by
+    ``65536 / (65536 - k)``.  Eval mode (and rate 0) is the identity and
+    consumes no randomness, so expectations match between train and eval.
     """
     a = _lift(a)
     if mode not in ("train", "eval"):
@@ -404,7 +408,10 @@ def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -
         return a
     if rng is None:
         raise ParameterError("dropout: train mode with rate > 0 requires an rng")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    n, k = a.data.size, min(round(rate * 65536), 65535)
+    # Little-endian words make lane j of each draw its bits 16j..16j+15 on any host.
+    lanes = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")
+    keep = (lanes[:n].reshape(a.shape) >= k) * (65536 / (65536 - k))
     return _join(a.data * keep, ((a, lambda g: g * keep),))
 
 

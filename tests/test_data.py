@@ -179,6 +179,24 @@ class TestCsvParity:
         np.testing.assert_array_equal(frame.values, [[1.5, 2.0], [-300.0, 4.0]])
 
     @pytest.mark.parametrize("text", [
+        'a,b\n1,2\n3,4\n5,"6"\n',                       # only the last row has a quoted cell
+        '#x,"note\nstill a note"\n"a",b\n1,2\n"3",4\n5,6\n7,"8"\n9,10\n"11"," 12 "\n13,14\n',
+    ])
+    def test_quoted_records_are_read_in_the_one_pass(self, tmp_path, monkeypatch, text):
+        # Plain and quoted lines alternate; none of them rewinds the file for
+        # the per-cell path.
+        path = write(tmp_path, text)
+        expected = per_cell_values(path)
+
+        def rewound(path, fh):
+            raise AssertionError("load_csv read the file a second time")
+
+        monkeypatch.setattr(dt, "_read_cells", rewound)
+        frame = dt.load_csv(path)
+        assert frame.columns == ["a", "b"]
+        assert frame.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", [
         "a,b\n1.0,\n",                      # empty cell
         "a,b\n1.0,  \n",                    # blank cell
         "a,b\n1.0,2.0\n3.0,oops\n",          # non-numeric cell
@@ -190,6 +208,8 @@ class TestCsvParity:
         "a,b\n1.0,bad\n3.0\n",               # bad cell before a ragged row
         "a,b\n1.0,2.0,3.0\n4.0,x\n",         # ragged row before a bad cell
         "a,b\n1.0,\"2\n3\"\n",                 # quoted cell spanning two lines
+        'a,b\n1,"2"\n3,4\n"5,6"\n',             # a comma inside a quoted cell
+        'a,b\n1,2\n"3",x\n5,6\n7\n',            # bad quoted-row cell before a ragged row
     ])
     def test_identical_errors(self, tmp_path, text):
         path = write(tmp_path, text)

@@ -156,20 +156,28 @@ ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 @settings(BOUNDED, max_examples=120)
 @given(data=st.data())
 def test_load_csv_matches_the_per_cell_oracle(data):
-    # load_csv parses plain files in one numpy pass and the rest cell by cell;
-    # either way it gives the oracle's values or its DataError text, and no warning.
+    # load_csv parses plain lines and quoted records in one numpy pass and any
+    # other file cell by cell; either way it gives the oracle's values or its
+    # DataError text, and no warning.  Quoting one cell of a row makes its line
+    # not plain, so a file can switch between plain and quoted runs many times.
     width = data.draw(st.integers(1, 3), label="width")
     plain = data.draw(st.booleans(), label="plain cells only")
     cells = PLAIN_CELLS if plain else st.one_of(PLAIN_CELLS, ODD_CELLS)
-    header = ",".join(["a", " b ", "c"][:width])
+    header = ["a", " b ", "c"][:width]
+    if data.draw(st.booleans(), label="quoted header"):
+        header = [f'"{name}"' for name in header]
     lines = data.draw(st.lists(OTHER_LINES, max_size=2), label="lines above the header")
-    lines.append(("\ufeff" if data.draw(st.booleans(), label="BOM") else "") + header)
-    for _ in range(data.draw(st.integers(0, 4), label="lines below")):
+    lines.append(("\ufeff" if data.draw(st.booleans(), label="BOM") else "") + ",".join(header))
+    for _ in range(data.draw(st.integers(0, 7), label="lines below")):
         if data.draw(st.integers(0, 3), label="other line") == 0:
             lines.append(data.draw(OTHER_LINES, label="line"))
         else:
             n = data.draw(st.sampled_from([width] * 4 + [width - 1, width + 1]), label="fields")
-            lines.append(",".join(data.draw(cells, label="cell") for _ in range(max(n, 1))))
+            row = [data.draw(cells, label="cell") for _ in range(max(n, 1))]
+            if data.draw(st.booleans(), label="quote a cell"):
+                at = data.draw(st.integers(0, len(row) - 1), label="quoted cell")
+                row[at] = f'"{row[at]}"'
+            lines.append(",".join(row))
     text = "".join(line + data.draw(ENDINGS, label="ending") for line in lines)
     if data.draw(st.booleans(), label="drop last ending"):
         text = text.rstrip("\r\n")

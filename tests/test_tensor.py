@@ -190,6 +190,50 @@ class TestDropout:
         b = tc.dropout(x, 0.3, "train", make_rng(5)).data
         np.testing.assert_array_equal(a, b)
 
+    def test_golden_mask(self):
+        # k = round(0.3 * 65536) = 19661; the lanes of make_rng(5)'s first raw
+        # outputs, lowest 16 bits first, are 52517, 56638, 19806, 56202, 43211, 9836, ...
+        out = tc.dropout(Tensor(np.ones((2, 3, 5))), 0.3, "train", make_rng(5)).data
+        kept = [[[1, 1, 1, 1, 1], [0, 1, 1, 1, 1], [0, 1, 0, 1, 1]],
+                [[0, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1]]]
+        np.testing.assert_array_equal(out, np.array(kept) * (65536 / (65536 - 19661)))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 4), ()])
+    def test_draws_one_raw_output_per_four_elements(self, shape):
+        rng, fresh = make_rng(5), make_rng(5)
+        tc.dropout(Tensor(np.ones(shape)), 0.3, "train", rng)
+        fresh.bit_generator.random_raw(-(-int(np.prod(shape)) // 4))
+        assert philox_state(rng) == philox_state(fresh)
+
+    def test_tiny_rate_keeps_every_value_and_still_draws(self):
+        x = make_rng(4).normal(size=(3, 5))
+        rng, fresh = make_rng(5), make_rng(5)
+        out = tc.dropout(Tensor(x), 1e-9, "train", rng).data  # k = 0
+        np.testing.assert_array_equal(out, x)
+        fresh.bit_generator.random_raw(4)
+        assert philox_state(rng) == philox_state(fresh)
+
+    def test_rate_near_one_clamps_to_the_last_lane(self):
+        # k = round((1 - 1e-9) * 65536) = 65536 clamps to 65535: only lane 65535
+        # survives, scaled by 65536.
+        x = np.linspace(1.0, 2.0, 1 << 18)
+        out = tc.dropout(Tensor(x), 1.0 - 1e-9, "train", make_rng(5)).data
+        kept = out != 0.0
+        assert kept.any()
+        np.testing.assert_array_equal(out[kept], x[kept] * 65536.0)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_drop_fraction_is_k_over_65536(self, rate):
+        n, p = 100_000, round(rate * 65536) / 65536
+        out = tc.dropout(Tensor(np.ones(n)), rate, "train", make_rng(6)).data
+        assert abs((out == 0.0).mean() - p) < 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def philox_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
 
 class TestBackward:
     def test_sum_of_squares_gradient(self):
