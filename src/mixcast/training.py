@@ -1,7 +1,8 @@
 """Losses, the Adam optimizer, and the training loop.
 
 Each loss is one tape node: its value is computed in numpy and its VJPs
-are closed form.
+are closed form.  The negative binomial's log-gamma and digamma are series
+evaluated here, so training needs numpy alone.
 
 The loop is deterministic given its seed: batch shuffling and dropout
 draw from separate counter-based streams, so two runs with the same seed
@@ -61,23 +62,20 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
 
     Parameterized by mean mu > 0 and dispersion alpha > 0 with variance
     mu + alpha * mu^2; alpha -> 0 recovers the Poisson limit.  ``counts``
-    must be non-negative (integer-valued in the usual use).  The operands
-    broadcast, and the loss is one tape node with closed-form VJPs.
+    must be finite and non-negative (integer-valued in the usual use).  The
+    operands broadcast, and the loss is one tape node with closed-form VJPs.
     """
-    # Imported here, so only the negative-binomial head pays scipy.special's import.
-    from scipy import special as _sp
-
     mu, alpha = _lift(mean), _lift(dispersion)
     y = np.asarray(counts.data if isinstance(counts, Tensor) else counts, dtype=np.float64)
-    if np.any(y < 0):
-        raise ParameterError("nb_nll_loss: counts must be non-negative")
+    if not np.all((y >= 0.0) & (y < np.inf)):  # NaN fails both
+        raise ParameterError("nb_nll_loss: counts must be finite and non-negative")
     if np.any(mu.data <= 0) or np.any(alpha.data <= 0):
         raise ParameterError("nb_nll_loss: mean and dispersion must be strictly positive")
     with np.errstate(all="ignore"):
         r = 1.0 / alpha.data  # number of failures; Poisson limit as r -> inf
         r_mu = r + mu.data
         log_sum, log_r = np.log(r_mu), np.log(r)
-        ll = (_sp.gammaln(y + r) - _sp.gammaln(r) - _sp.gammaln(y + 1.0)
+        ll = (_log_gamma(y + r) - _log_gamma(r) - _log_gamma(y + 1.0)
               + r * (log_r - log_sum) + y * (np.log(mu.data) - log_sum))
     tc._require_finite(ll, "nb_nll_loss")
     n = ll.size
@@ -86,7 +84,7 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
         return tc._unbroadcast(g * ((r + y) / r_mu - y / mu.data) / n, mu.data.shape)
 
     def vjp_alpha(g):  # d(-ll)/dr times dr/dalpha = -r^2
-        dr = np.asarray(_sp.digamma(y + r) - _sp.digamma(r) + log_r - log_sum
+        dr = np.asarray(_digamma(y + r) - _digamma(r) + log_r - log_sum
                         + 1.0 - (r + y) / r_mu)
         # Past r = 10, and at y = 0 once mu << r, this cancels and loses digits;
         # redo those elements.
@@ -105,18 +103,16 @@ def _nb_bracket(r, y, mu):
 
     It is [phi(r+y) - phi(r)] + [log1p(t) - t], with phi(x) = psi(x) - log x
     and t = (y-mu)/(r+mu).  phi is its asymptotic series sum_n -c_n x^-n
-    (Bernoulli numbers through B_14), differenced term by term in closed form:
+    (``PHI_COEFS``), differenced term by term in closed form:
     u^n - v^n = y u v sum_{j<n} u^(n-1-j) v^j, with u = 1/r and v = 1/(r+y).
     log1p(t) - t is its Taylor series where |t| < 0.1.
     """
     # At y = 0 the phi difference is exactly 0; zero u and v there, where r may
     # be small enough for the series to overflow.
     u, v = (np.where(y == 0.0, 0.0, 1.0 / x) for x in (r, r + y))
-    coefs = (1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252, 0.0, -1 / 240, 0.0, 1 / 132,
-             0.0, -691 / 32760, 0.0, 1 / 12)
     s = v_pow = np.ones_like(u)  # sum_{j<n} u^(n-1-j) v^j and v^(n-1), from n = 1
-    phi_diff = coefs[0] * s
-    for c in coefs[1:]:
+    phi_diff = PHI_COEFS[0] * s
+    for c in PHI_COEFS[1:]:
         v_pow = v_pow * v
         s = u * s + v_pow
         phi_diff += c * s
@@ -128,6 +124,49 @@ def _nb_bracket(r, y, mu):
         series = series * -ts + 1.0 / k
     tail[small] = -ts * ts * series
     return y * u * v * phi_diff + tail
+
+
+# phi(x) = psi(x) - log x has the asymptotic series -sum_n c_n x^-n, n = 1..14
+# (Bernoulli numbers through B_14); Stirling's series for log Gamma has the
+# coefficients c_2k / (2k - 1).  Both are used at x >= 10.
+PHI_COEFS = (1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252, 0.0, -1 / 240, 0.0, 1 / 132,
+             0.0, -691 / 32760, 0.0, 1 / 12)
+STIRLING_COEFS = PHI_COEFS[1::2] / np.arange(1.0, 14.0, 2.0)
+HALF_LOG_2PI_LESS_HALF = 0.5 * math.log(2.0 * math.pi) - 0.5
+
+
+def _log_gamma(x):
+    """log Gamma(x) for x > 0: Stirling's series at z = x + 10 less the log of
+    the product x (x + 1) ... (x + 9) below 10, and at z = x above."""
+    below = x < 10.0
+    z, p = np.where(below, x + 10.0, x), np.minimum(x, 10.0)  # p: unused products stay finite
+    prod = p.copy()
+    for k in range(1, 10):
+        prod *= p + k
+    w = 1.0 / z
+    w2, s = w * w, 0.0
+    for c in STIRLING_COEFS[::-1]:
+        s = s * w2 + c
+    # The two large terms first: where log Gamma is small they nearly cancel, and
+    # their difference is exact.  (z - 1/2)(log z - 1) rounds less than (z - 1/2) log z - z.
+    return ((z - 0.5) * (np.log(z) - 1.0) - np.where(below, np.log(prod), 0.0)
+            + (HALF_LOG_2PI_LESS_HALF + w * s))
+
+
+def _digamma(x):
+    """psi(x) for x > 0: log z - sum_n c_n z^-n at z = x + 10 less
+    sum_{k<10} 1 / (x + k) below 10, and at z = x above."""
+    below = x < 10.0
+    z, p = np.where(below, x + 10.0, x), np.minimum(x, 10.0)  # p: unused sums stay finite
+    num, den = np.ones_like(p), p  # sum_{j<=k} 1 / (p + j) is num / den
+    for k in range(1, 10):
+        q = p + k
+        num, den = num * q + den, den * q
+    w = 1.0 / z
+    w2, s = w * w, 0.0
+    for c in PHI_COEFS[:0:-2]:  # c_n is 0 at odd n > 1
+        s = (s + c) * w2
+    return np.log(z) - PHI_COEFS[0] * w - s - np.where(below, num / den, 0.0)
 
 
 # ---------------------------------------------------------------------------

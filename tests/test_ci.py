@@ -18,3 +18,20 @@ def test_tier1_workflow_runs_the_roadmap_command():
     python = [step["with"]["python-version"] for step in steps
               if step.get("uses", "").startswith("actions/setup-python")]
     assert python == ["3.11"]
+
+
+def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = workflow["jobs"]["numpy-only"]["steps"]
+    python = [step["with"]["python-version"] for step in steps
+              if step.get("uses", "").startswith("actions/setup-python")]
+    assert python == ["3.11"]
+    install, no_scipy, epoch = [step["run"] for step in steps if "run" in step]
+    assert install == "python -m pip install -e ."
+    assert no_scipy == ('python -c "import importlib.util, sys; '
+                        "sys.exit(importlib.util.find_spec('scipy') is not None)\"")
+    first, *script, last = epoch.strip().split("\n")
+    assert (first, last) == ("python - <<'EOF'", "EOF")
+    script = "\n".join(script)
+    assert 'objective="nb_nll"' in script and "max_epochs=1" in script
+    exec(compile(script, "numpy-only epoch", "exec"), {})  # the step itself runs here

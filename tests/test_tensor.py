@@ -2,10 +2,12 @@
 finite differences, and the documented error contracts."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mixcast import data as dt
 from mixcast import errors
@@ -380,6 +382,22 @@ class TestGradCheck:
             return tc.mean(tc.softplus(ps[0]))
 
         assert tc.grad_check(f, [x]) < 1e-4
+
+    @staticmethod
+    def softplus_grad(x):
+        # x.size is a power of two, so scaling mean's 1 / n back is exact.
+        tape = Tape()
+        leaf = tape.leaf(x)
+        return tc.backward(tape, tc.mean(tc.softplus(leaf)))[leaf.nid].data * x.size
+
+    def test_softplus_gradient_is_the_logistic(self):
+        for x in np.linspace(-700.0, 700.0, 32 * 1024).reshape(32, 1024):
+            want = expit(x)
+            assert np.max(np.abs(self.softplus_grad(x) - want) / want) <= 5e-16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(self.softplus_grad(np.array([-800.0, 800.0])),
+                                          [0.0, 1.0])
 
     def test_relu_away_from_kink(self):
         x = make_rng(26).normal(size=(4, 4))

@@ -56,13 +56,13 @@ class TestLosses:
             tr.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
-def composite_nb_nll(mu, alpha, y):
+def composite_nb_nll(mu, alpha, y, gammaln=tr._log_gamma):
     """The composite formula ``nb_nll_loss`` replaces, in plain numpy and
-    in its operation order."""
+    in its operation order; with mixcast's log-gamma it is bitwise the loss."""
     r = 1.0 / alpha
     log_sum = np.log(r + mu)
-    ll = special.gammaln(y + r) - special.gammaln(r)
-    ll = ll - special.gammaln(y + 1.0)
+    ll = gammaln(y + r) - gammaln(r)
+    ll = ll - gammaln(y + 1.0)
     ll = ll + r * (np.log(r) - log_sum)
     ll = ll + y * (np.log(mu) - log_sum)
     return -ll.mean()
@@ -118,6 +118,43 @@ class TestNegativeBinomial:
         alpha = rng.uniform(1e-3, 3.0, size=shapes[1])
         y = rng.integers(0, 60, size=shapes[2]).astype(np.float64)
         assert tr.nb_nll_loss(mu, alpha, y).item() == composite_nb_nll(mu, alpha, y)
+
+    @pytest.mark.parametrize("shapes", [((4, 5), (4, 5), (4, 5)), ((2, 4, 5), (1, 5), ()),
+                                        ((4, 1), (5,), (3, 4, 5))])
+    def test_value_near_the_scipy_composite(self, shapes):
+        # The inputs of test_value_equals_composite_bitwise, against scipy's gammaln.
+        rng = make_rng(83)
+        mu = rng.uniform(0.1, 30.0, size=shapes[0])
+        alpha = rng.uniform(1e-3, 3.0, size=shapes[1])
+        y = rng.integers(0, 60, size=shapes[2]).astype(np.float64)
+        want = composite_nb_nll(mu, alpha, y, special.gammaln)
+        assert abs(tr.nb_nll_loss(mu, alpha, y).item() - want) <= 1e-13 * abs(want)
+
+    def test_log_gamma_and_digamma_match_mpmath(self):
+        """``_log_gamma`` and ``_digamma`` against ``data/log_gamma_digamma.csv``,
+        made by:
+
+            import mpmath as mp, numpy as np
+            mp.mp.dps = 50
+
+            def row(x):
+                return f"{x!r},{float(mp.loggamma(x))!r},{float(mp.digamma(x))!r}"
+
+            xs = sorted({*map(float, np.logspace(-8, 6, 57)), *map(float, range(1, 201)),
+                         *(k + 0.5 for k in range(200)),
+                         *map(float, np.nextafter(10.0, [0.0, 20.0])), 10.0})
+            rows = ["# x,log_gamma,digamma: log Gamma(x) and psi(x), mpmath at 50 digits"]
+            rows += [row(x) for x in xs]
+            open("tests/data/log_gamma_digamma.csv", "w").write("\\n".join(rows) + "\\n")
+
+        The errors are relative, and absolute where |value| < 1: near the zeros
+        of log Gamma at 1 and 2 and of psi at 1.46.
+        """
+        table = np.loadtxt(Path(__file__).parent / "data" / "log_gamma_digamma.csv", delimiter=",")
+        x, log_gamma, digamma = table.T
+        for got, want, bound in ((tr._log_gamma(x), log_gamma, 1e-14),
+                                 (tr._digamma(x), digamma, 4e-15)):
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound
 
     def test_records_one_tape_node(self):
         tape = tc.Tape()
@@ -194,6 +231,19 @@ class TestNegativeBinomial:
             tr.nb_nll_loss(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
         with pytest.raises(errors.ParameterError, match="positive"):
             tr.nb_nll_loss(np.array([1.0, 0.0]), np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_are_a_parameter_error(self, bad):
+        # A bad count is bad input (exit 1), not a numeric failure (exit 2).
+        with pytest.raises(errors.ParameterError, match="counts must be finite and non-negative"):
+            tr.nb_nll_loss(np.ones(2), np.ones(2), np.array([1.0, bad]))
+
+    def test_nan_mean_or_dispersion_is_a_numeric_error(self):
+        # NaN there comes from a diverging model.
+        with pytest.raises(errors.NumericError, match="nb_nll_loss"):
+            tr.nb_nll_loss(np.array([1.0, np.nan]), np.ones(2), np.ones(2))
+        with pytest.raises(errors.NumericError, match="nb_nll_loss"):
+            tr.nb_nll_loss(np.ones(2), np.array([np.nan, 1.0]), np.ones(2))
 
 
 class TestAdam:
