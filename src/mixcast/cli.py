@@ -260,24 +260,29 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
     raw = _read_section(parser, ini, "model", [f.name for f in fields(md.ModelConfig)])
     cfg = md.ModelConfig(**_parse_fields(md.ModelConfig, raw, f"{ini}: model.",
                                          lambda value: value.strip("'\"")))
-    model = md.Forecaster(cfg, seed=0)
+    param_shapes, buffer_shapes = md.Forecaster.shapes(cfg)
     params_path = ini.parent / "params.bin"
     blob = load_params(params_path)
-    slots = [("parameter", name, name, arr) for name, arr in model.params.items()]
-    slots += [("buffer", name, _BUFFER_PREFIX + name, arr) for name, arr in model.buffers.items()]
-    for kind, name, key, arr in slots:
+    slots = [("parameter", name, name, shape) for name, shape in param_shapes.items()]
+    slots += [("buffer", name, _BUFFER_PREFIX + name, shape)
+              for name, shape in buffer_shapes.items()]
+    # The index must match model.ini before any parameter is allocated, so a
+    # dimension no array could have is a mismatch here, not a numpy failure.
+    for kind, name, key, shape in slots:
         if key not in blob:
             raise ConfigurationError(f"checkpoint is missing {kind} {name!r}")
-        if blob[key].shape != arr.shape:
+        if blob[key].shape != shape:
             raise ConfigurationError(
-                f"checkpoint {kind} {name!r} has shape {blob[key].shape}, expected {arr.shape}"
+                f"checkpoint {kind} {name!r} has shape {blob[key].shape}, expected {shape}"
             )
-        if not np.all(np.isfinite(blob[key])):
-            raise FormatError(f"{params_path}: {kind} {name!r} holds non-finite values")
-        arr[...] = blob[key]
     unknown = sorted(set(blob) - {key for _, _, key, _ in slots})
     if unknown:
         raise FormatError(f"{params_path}: unknown entry {unknown[0]!r} for this model")
+    model = md.Forecaster(cfg, seed=0)
+    for kind, name, key, _ in slots:
+        if not np.all(np.isfinite(blob[key])):
+            raise FormatError(f"{params_path}: {kind} {name!r} holds non-finite values")
+        (model.params if kind == "parameter" else model.buffers)[name][...] = blob[key]
     return model, _read_scaler(parser, ini)
 
 

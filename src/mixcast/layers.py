@@ -105,6 +105,11 @@ class NormParams:
 MOMENTUM = 0.1
 
 
+def norm_affine_init(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity affine: scale 1 and shift 0 per cell."""
+    return np.ones((rows, cols)), np.zeros((rows, cols))
+
+
 def norm_stats_init(cols: int, per_feature: bool) -> tuple[np.ndarray, np.ndarray]:
     shape = (cols,) if per_feature else ()
     return np.zeros(shape), np.ones(shape)

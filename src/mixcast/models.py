@@ -25,6 +25,7 @@ Lipschitz trend with bounded error, plus exact parameter counting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,15 @@ def construct_periodic_plus_trend_solution(period: int, lookback: int, horizon: 
 # the forecaster
 
 
+class _Shapes:
+    """The initializers of ``layers``, returning the shapes they would
+    allocate instead of arrays."""
+
+    linear_init = staticmethod(lambda out_dim, in_dim, rng: ((out_dim, in_dim), (out_dim,)))
+    norm_affine_init = staticmethod(lambda rows, cols: ((rows, cols),) * 2)
+    norm_stats_init = staticmethod(lambda cols, per_feature: (((cols,) if per_feature else ()),) * 2)
+
+
 class Forecaster:
     """A configured model family with its learnable state.
 
@@ -217,14 +227,25 @@ class Forecaster:
 
     # -- the architecture --------------------------------------------------
 
-    def _layers(self, P: dict, rng=None) -> dict:
+    @classmethod
+    def shapes(cls, config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tuple]]:
+        """The parameter and buffer shapes of ``config`` by name, in walk
+        order, allocating none of them."""
+        config.validate()
+        model = cls.__new__(cls)
+        model.config, model.buffers = config, {}
+        params: dict[str, tuple] = {}
+        model._layers(params, init=_Shapes)
+        return params, model.buffers
+
+    def _layers(self, P: dict, rng=None, init=ly) -> dict:
         """The layer structs of this configuration, read from ``P`` by name.
 
         A parameter missing from ``P`` (or a running statistic missing from
-        ``buffers``) is created on the spot, drawing from ``rng``.  Only
-        construction meets missing names, so this walk order is the
-        initialization order and the parameter order.  ``linear`` is the
-        mixer stack with no blocks.
+        ``buffers``) is created on the spot by ``init``'s initializers,
+        drawing from ``rng``.  Only construction (and ``shapes``) meets
+        missing names, so this walk order is the initialization order and
+        the parameter order.  ``linear`` is the mixer stack with no blocks.
         """
         cfg = self.config
         L, T, C, H = cfg.lookback, cfg.horizon, cfg.targets, cfg.hidden
@@ -232,16 +253,15 @@ class Forecaster:
 
         def linear(name: str, out_dim: int, in_dim: int) -> ly.LinearParams:
             if f"{name}.weight" not in P:
-                P[f"{name}.weight"], P[f"{name}.bias"] = ly.linear_init(out_dim, in_dim, rng)
+                P[f"{name}.weight"], P[f"{name}.bias"] = init.linear_init(out_dim, in_dim, rng)
             return ly.LinearParams(P[f"{name}.weight"], P[f"{name}.bias"])
 
         def norm(name: str, rows: int, cols: int) -> ly.NormParams:
             if f"{name}.scale" not in P:
-                P[f"{name}.scale"] = np.ones((rows, cols))
-                P[f"{name}.shift"] = np.zeros((rows, cols))
+                P[f"{name}.scale"], P[f"{name}.shift"] = init.norm_affine_init(rows, cols)
             if cfg.norm == "batch2d" and f"{name}.mean" not in self.buffers:
                 self.buffers[f"{name}.mean"], self.buffers[f"{name}.var"] = (
-                    ly.norm_stats_init(cols, per_feature))
+                    init.norm_stats_init(cols, per_feature))
             return ly.NormParams(cfg.norm, P[f"{name}.scale"], P[f"{name}.shift"],
                                  running_mean=self.buffers.get(f"{name}.mean"),
                                  running_var=self.buffers.get(f"{name}.var"),
@@ -384,6 +404,5 @@ def param_count(config: ModelConfig, include_norm_affine: bool = True) -> int:
     excluded to expose the additive lookback/channel growth of the
     mixing weights themselves.
     """
-    params = Forecaster(config).params
-    return sum(arr.size for name, arr in params.items()
+    return sum(math.prod(shape) for name, shape in Forecaster.shapes(config)[0].items()
                if include_norm_affine or not name.endswith((".scale", ".shift")))

@@ -6,9 +6,12 @@ bound to it, each node holding (parent id, vector-Jacobian product)
 closures.  ``backward`` walks the records in reverse order from a scalar
 loss, accumulating adjoints additively, and returns a gradient per leaf.
 It consumes the tape: each node's closures, and with them the operands
-they hold, are dropped as the walk passes the node, so the forward's
-intermediates are freed during the pass and no reference cycle outlives
-it.  A second ``backward`` on the same tape raises ``ContractError``.
+they hold, are dropped as the walk passes the node, and so is each
+non-leaf adjoint once that node's VJPs have read it.  The forward's
+intermediates are freed during the pass, a training step peaks by the end
+of its forward, and no reference cycle outlives the walk.  A second
+``backward`` on the same tape raises ``ContractError``.  Each VJP closure
+holds only what it reads; ``relu`` and ``dropout`` hold a bool mask.
 
 Operations are free functions.  They accept Tensors, numpy arrays, or
 Python scalars; non-Tensor inputs are lifted to constants, copied unless
@@ -209,10 +212,10 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_broadcast(a, b, "mul")
-    out = a.data * b.data
-    return _join(out, (
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape  # each VJP holds only the operand it reads
+    return _join(ad * bd, (
+        (a, lambda g: _unbroadcast(g * bd, sa)),
+        (b, lambda g: _unbroadcast(g * ad, sb)),
     ))
 
 
@@ -394,8 +397,9 @@ def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -
     Each raw 64-bit output of ``rng``'s bit generator is four 16-bit lanes,
     lowest bits first.  An element is dropped when its lane is below
     ``k = min(round(rate * 65536), 65535)``, and survivors are scaled by
-    ``65536 / (65536 - k)``.  Eval mode (and rate 0) is the identity and
-    consumes no randomness, so expectations match between train and eval.
+    ``65536 / (65536 - k)``.  The node keeps the bool mask, one byte per
+    element.  Eval mode (and rate 0) is the identity and consumes no
+    randomness, so expectations match between train and eval.
     """
     a = _lift(a)
     if mode not in ("train", "eval"):
@@ -410,8 +414,16 @@ def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -
     n, k = a.data.size, min(round(rate * 65536), 65535)
     # Little-endian words make lane j of each draw its bits 16j..16j+15 on any host.
     lanes = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")
-    keep = (lanes[:n].reshape(a.shape) >= k) * (65536 / (65536 - k))
-    return _join(a.data * keep, ((a, lambda g: g * keep),))
+    keep, scale = lanes[:n].reshape(a.shape) >= k, 65536 / (65536 - k)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        # x * keep * scale is bitwise x * (keep * scale), signed zeros included,
+        # so the node holds the one-byte mask and no float copy of it.
+        out = x * keep
+        out *= scale
+        return out
+
+    return _join(apply(a.data), ((a, apply),))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +435,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
 
     ``loss`` must be a scalar recorded on ``tape``.  Unused leaves get
     zero gradients of their own shape.  Each node's entry is blanked as the
-    walk reaches it, so the tape keeps its length but serves one pass only.
+    walk reaches it, so the tape keeps its length but serves one pass only,
+    and a non-leaf node's adjoint is dropped once its VJPs have read it, so
+    the walk holds only the adjoints still to be read.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape or loss.nid is None:
         raise ContractError("backward: loss is not a node of this tape")
@@ -437,11 +451,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     for nid in range(len(records) - 1, -1, -1):
         entry, records[nid] = records[nid], None
         g = adjoint[nid]
-        if g is None:
+        if g is None or not entry:  # a leaf keeps its adjoint: it is the gradient
             continue
+        adjoint[nid] = None  # the VJPs below are its last readers
         for pid, vjp in entry:
-            contrib = vjp(g)
-            adjoint[pid] = contrib if adjoint[pid] is None else adjoint[pid] + contrib
+            adjoint[pid] = vjp(g) if adjoint[pid] is None else adjoint[pid] + vjp(g)
     grads: dict[int, Tensor] = {}
     for lid, shape in tape._leaves.items():
         g = adjoint[lid]

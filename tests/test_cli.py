@@ -316,6 +316,8 @@ def broken_checkpoint(workdir, case):
     if case == "missing_key":
         ini.write_text("".join(line for line in ini.read_text().splitlines(keepends=True)
                                if not line.startswith("hidden ")))
+    elif case == "huge_hidden":  # numpy refuses this extent before allocating anything
+        ini.write_text(ini.read_text().replace("hidden = 4", "hidden = 99999999999999999999"))
     elif case == "non_numeric_key":
         ini.write_text(ini.read_text().replace("lookback = 14", "lookback = fourteen"))
     elif case == "short_mean":
@@ -369,6 +371,8 @@ def broken_checkpoint(workdir, case):
 @pytest.mark.parametrize("case, message", [
     ("missing_key", "missing key 'hidden'"),
     ("non_numeric_key", "model.lookback must be an integer"),
+    ("huge_hidden", "parameter 'block0.feat.hidden.weight' has shape (4, 2), "
+                    "expected (99999999999999999999, 2)"),
     ("short_mean", "preprocess.mean has 1 values for 2 columns"),
     ("not_ini", "not a valid INI file: File contains no section headers."),
     ("standardize_not_bool", "preprocess.standardize must be a boolean, got 'banana'"),

@@ -1,5 +1,6 @@
 """Model families, closed-form solutions, and parameter accounting."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -407,6 +408,15 @@ class TestParamCount:
             affine = sum(arr.size for name, arr in model.params.items()
                          if name.endswith(".scale") or name.endswith(".shift"))
             assert md.param_count(cfg, include_norm_affine=False) == total - affine
+
+    def test_shapes_match_the_built_arrays_in_walk_order(self):
+        for stats in ("joint", "per_feature"):
+            for cfg in self.CONFIGS:
+                cfg = dataclasses.replace(cfg, batch_stats=stats)
+                model = md.Forecaster(cfg, seed=30)
+                params, buffers = md.Forecaster.shapes(cfg)
+                assert list(params.items()) == [(k, a.shape) for k, a in model.params.items()]
+                assert list(buffers.items()) == [(k, b.shape) for k, b in model.buffers.items()]
 
     def test_linear_family_count(self):
         cfg = md.ModelConfig(family="linear", lookback=48, horizon=12, targets=7)

@@ -200,6 +200,39 @@ class TestDropout:
                 [[0, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1]]]
         np.testing.assert_array_equal(out, np.array(kept) * (65536 / (65536 - 19661)))
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_output_and_gradient_equal_the_float_mask_formula_bitwise(self, rate):
+        # x * mask * scale against x * (mask * scale): dropped negatives must
+        # stay -0.0 in the output and in the gradient.
+        shape, k = (4, 6, 5), round(rate * 65536)
+        x = make_rng(11).normal(size=shape)
+        x[0, 0, :2] = 0.0, -0.0
+        c = make_rng(12).normal(size=shape)
+        lanes = make_rng(13).bit_generator.random_raw(30).astype("<u8").view("<u2")
+        keep = (lanes[:120].reshape(shape) >= k) * (65536 / (65536 - k))
+        tape = Tape()
+        xl = tape.leaf(x)
+        out = tc.dropout(xl, rate, "train", make_rng(13))
+        grad = tc.backward(tape, tc.mean(tc.mul(out, c)))[xl.nid].data
+        assert out.data.tobytes() == (x * keep).tobytes()
+        assert grad.tobytes() == ((np.ones(()) / x.size * c) * keep).tobytes()
+        assert (np.signbit(out.data) & (out.data == 0.0)).any()
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_node_keeps_a_one_byte_mask(self, rate):
+        n = 1 << 16
+        tape = Tape()
+        x = tape.leaf(np.ones(n))
+        tc.dropout(x, rate, "train", make_rng(14))  # warm-up: nothing lazy is counted below
+        tracemalloc.start()
+        try:
+            out = tc.dropout(x, rate, "train", make_rng(14))
+            del out
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n <= retained < n + 4096, retained - n
+
     @pytest.mark.parametrize("shape", [(3, 7), (2, 4), ()])
     def test_draws_one_raw_output_per_four_elements(self, shape):
         rng, fresh = make_rng(5), make_rng(5)
@@ -286,6 +319,28 @@ class TestBackward:
         grads = tc.backward(tape, loss)
         assert intermediate() is None
         assert grads[x.nid].shape == (4, 3)
+
+    @pytest.mark.parametrize("nodes", [4, 32])
+    def test_releases_each_adjoint_after_its_last_reader(self, nodes):
+        # Every relu VJP makes a fresh 1 MiB adjoint; kept to the end of the
+        # walk they would add one activation per node to its peak.
+        act = 128 * 1024 * 8
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            h = x = tape.leaf(make_rng(10).normal(size=(128, 1024)))
+            for _ in range(nodes):
+                h = tc.relu(tc.add(h, 0.25))
+            loss = tc.mean(h)
+            del h
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = tc.backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[x.nid].shape == (128, 1024)
+        assert peak < retained + 3 * act, (peak - retained) / act
 
     def test_add_node_does_not_keep_its_operands_alive(self):
         # add keeps shapes, relu its mask and mean a size and shape.

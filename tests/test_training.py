@@ -1,6 +1,7 @@
 """Losses, optimizer, and the training loop."""
 
 import gc
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -386,3 +387,37 @@ class TestTrainLoop:
         finally:
             gc.enable()
         assert alive == 0
+
+
+class TestStepMemory:
+    """A training step reaches its traced memory peak by the end of its
+    forward: backward frees what it has read as it goes."""
+
+    @pytest.mark.parametrize("cfg, objective", [
+        (md.ModelConfig(family="tsmixer", lookback=96, horizon=24, targets=8,
+                        hidden=32, blocks=2, rev_in=True), "mse"),
+        (md.ModelConfig(family="tsmixer_ext", lookback=48, horizon=24, targets=6,
+                        hist_covariates=2, future_covariates=3, static_features=2,
+                        hidden=32, blocks=2, dropout=0.1, head="negative_binomial"), "nb_nll"),
+    ], ids=["tsmixer_rev_in", "tsmixer_ext_nb_dropout"])
+    def test_backward_does_not_raise_the_peak(self, cfg, objective):
+        rng, batch = make_rng(16), 32
+        model = md.Forecaster(cfg, seed=17)
+        hist = rng.poisson(3.0, size=(batch, cfg.lookback, cfg.input_channels)).astype(float)
+        fut = rng.normal(size=(batch, cfg.horizon, cfg.future_covariates))
+        stat = rng.normal(size=(batch, 1, cfg.static_features))
+        target = rng.poisson(3.0, size=(batch, cfg.horizon, cfg.targets)).astype(float)
+        tape = tc.Tape()
+        bound = model.bind(tape)
+        tracemalloc.start()
+        try:
+            out = model.forward(hist, fut, stat, mode="train", rng=make_rng(18), params=bound)
+            loss = (tr.mse_loss(out.point, target) if objective == "mse"
+                    else tr.nb_nll_loss(out.mean, out.dispersion, target))
+            del out
+            _, forward_peak = tracemalloc.get_traced_memory()
+            tc.backward(tape, loss)
+            _, step_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert step_peak == forward_peak, (step_peak - forward_peak) / 1024
