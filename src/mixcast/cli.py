@@ -7,14 +7,15 @@ starts with a provenance comment naming the tool version and seed, and
 contains no timestamps, so reruns of the same configuration produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 usage/configuration/data errors, 2 numeric
-failures and internal errors.
+Exit codes: 0 success, 1 usage/configuration/data errors and arrays too
+large for the machine, 2 numeric failures and internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import traceback
 from dataclasses import dataclass, fields
@@ -290,6 +291,28 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
 # subcommands
 
 
+# The experiment fields that size the model's arrays, by their INI names.
+_SIZE_FIELDS = {"lookback": "window.lookback", "horizon": "window.horizon",
+                "hidden": "model.hidden"}
+
+
+def _check_array_sizes(config: md.ModelConfig, batch: int) -> None:
+    """Raise a ConfigurationError when a parameter of ``config``, or the
+    widest activation of a ``batch``-window step, has more bytes than numpy
+    can address; allocates nothing.  It names the largest of
+    ``_SIZE_FIELDS`` among that array's extents (or of all of them)."""
+    arrays = {f"parameter {name!r}": shape
+              for name, shape in md.Forecaster.shapes(config)[0].items()}
+    arrays["one batch's widest activation"] = (batch, config.lookback, config.activation_width)
+    for what, shape in arrays.items():
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+            field = max(_SIZE_FIELDS, key=lambda name: (getattr(config, name) in shape,
+                                                        getattr(config, name)))
+            raise ConfigurationError(
+                f"{_SIZE_FIELDS[field]} = {getattr(config, field)} is too large: "
+                f"{what} would have shape {shape}, more bytes than numpy can address")
+
+
 def cmd_train(args) -> int:
     exp = load_experiment(args.config, args.out)
     args.out = str(exp.out)  # resolved dir, so failures can leave error.log there
@@ -315,8 +338,11 @@ def cmd_train(args) -> int:
             if col.split() != [col]:
                 raise DataError(f"{exp.csv}: column {col!r} cannot be saved in model.ini; "
                                 "a column name must be non-empty and hold no whitespace")
+    config = _model_config_for(frame, exp)
+    # A batch holds at most one window per row of the frame.
+    _check_array_sizes(config, min(exp.train.batch_size, frame.n_steps))
     train_w, val_w, _ = dt.split_windows(frame, exp.split, exp.window)
-    model = md.Forecaster(_model_config_for(frame, exp), seed=exp.seed)
+    model = md.Forecaster(config, seed=exp.seed)
     _, history = tr.train(model, train_w, val_w, exp.train)
 
     hist_lines = [f"# {provenance(exp.seed)}", "epoch,train_loss,val_loss"] + [
@@ -348,7 +374,7 @@ def cmd_evaluate(args) -> int:
                                 cfg.horizon, axis=0).swapaxes(1, 2)
     # Score each chunk as it is forecast, so memory does not grow with the window count.
     sq_sum = abs_sum = 0.0
-    for rows, chunk in tr.eval_chunks(windows):
+    for rows, chunk in tr.eval_chunks(windows, cfg.activation_width):
         out = model.forward(chunk.history, chunk.future, chunk.static)
         pred = (out.point if out.point is not None else out.mean).data
         if scaler is not None:
@@ -569,7 +595,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         _write_error_log(args)
         return 2
-    except MixcastError as exc:
+    except (MixcastError, MemoryError) as exc:  # numpy's MemoryError names the array
         print(f"error: {exc}", file=sys.stderr)
         _write_error_log(args)
         return 1

@@ -114,6 +114,15 @@ class ModelConfig:
     def input_channels(self) -> int:
         return self.targets + self.hist_covariates
 
+    @property
+    def activation_width(self) -> int:
+        """Columns per lookback row of the widest activation a window makes:
+        ``hidden`` where the family mixes features and that is wider than the
+        input, else the input channels."""
+        if self.family in ("tsmixer", "tsmixer_ext"):
+            return max(self.input_channels, self.hidden)
+        return self.input_channels
+
 
 @dataclass
 class ForecastOutput:
@@ -315,8 +324,13 @@ class Forecaster:
     # -- assembly ----------------------------------------------------------
 
     def bind(self, tape: Tape) -> dict[str, Tensor]:
-        """Bind every learnable array as a leaf of ``tape``."""
-        return {name: tape.leaf(arr) for name, arr in self.params.items()}
+        """Bind every learnable array as a leaf of ``tape``.
+
+        Each leaf is a read-only view of its parameter, not a copy, so it is
+        valid until the parameters next change: the tape must be done with
+        (``backward`` run) before anything, such as ``adam_step``, writes them.
+        """
+        return {name: tape.leaf(Tensor._wrap(arr.view())) for name, arr in self.params.items()}
 
     def _tensors(self, params) -> dict[str, Tensor]:
         if params is None:

@@ -32,7 +32,7 @@ OBJECTIVES = ("mse", "nb_nll")
 IMPROVEMENT_ATOL = 1e-12
 
 # Windows per eval-mode forward pass, bounding its memory: at most
-# EVAL_CHUNK, and no more than fit one chunk's history into EVAL_BYTES.
+# EVAL_CHUNK, and no more than fit one chunk's widest activation into EVAL_BYTES.
 EVAL_CHUNK = 256
 EVAL_BYTES = 8 << 20
 
@@ -199,14 +199,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+        g, m, v = grads[name], state.m[name], state.v[name]
+        # Two scratch arrays per parameter, each op in the order of
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) with m and v updated first.
+        a = np.multiply(1.0 - BETA1, g)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += a
+        np.multiply(1.0 - BETA2, g, out=a)
+        a *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(lr, a, out=a)
+        b = np.divide(v, bc2)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +271,19 @@ def dataset_loss(model: Forecaster, windows: WindowBatch, objective: str = "mse"
     if len(windows) == 0:
         raise ParameterError("dataset_loss: empty window set")
     total = 0.0
-    for _, chunk in eval_chunks(windows):
+    for _, chunk in eval_chunks(windows, model.config.activation_width):
         loss = _loss_for(model, chunk, objective, "eval", None, None)
         total += loss.item() * len(chunk)
     return total / len(windows)
 
 
-def eval_chunks(windows: WindowBatch):
+def eval_chunks(windows: WindowBatch, width: int):
     """``(rows, windows.subset(rows))`` for consecutive slices ``rows`` that
-    cover ``windows``, each small enough for one eval-mode forward pass."""
+    cover ``windows``, each small enough for one eval-mode forward pass: its
+    widest activation, lookback x max(history channels, ``width``) per window
+    (``ModelConfig.activation_width``), fits in ``EVAL_BYTES``."""
     lookback, channels = windows.history.shape[1:]
-    step = min(EVAL_CHUNK, max(1, EVAL_BYTES // (8 * lookback * channels)))
+    step = min(EVAL_CHUNK, max(1, EVAL_BYTES // (8 * lookback * max(channels, width))))
     for lo in range(0, len(windows), step):
         rows = slice(lo, lo + step)
         yield rows, windows.subset(rows)
@@ -285,6 +296,25 @@ def _batch_slices(n: int, batch_size: int, avoid_singleton: bool) -> list[slice]
     if avoid_singleton and len(slices) > 1 and slices[-1].stop - slices[-1].start == 1:
         slices[-2:] = [slice(slices[-2].start, n)]
     return slices
+
+
+def _step(model: Forecaster, batch: WindowBatch, config: TrainConfig, rng,
+          opt: AdamState) -> float:
+    """One Adam step on ``batch``; returns its loss.  The tape, its leaves and
+    the gradients are locals here, so they are freed when the step returns,
+    before the next step's forward or the validation pass."""
+    tape = Tape()
+    bound = model.bind(tape)
+    loss = _loss_for(model, batch, config.objective, "train", rng, bound)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericError("training loss went non-finite")
+    grads = tc.backward(tape, loss)
+    # The leaves view the parameters, which adam_step changes: backward has
+    # consumed the tape by now, so nothing reads them again.
+    adam_step(model.params, {k: grads[t.nid].data for k, t in bound.items()},
+              opt, config.learning_rate)
+    return value
 
 
 def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatch,
@@ -320,17 +350,9 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
                 epoch_loss = 0.0
                 for bi, sl in enumerate(slices):
                     where = f"at epoch {epoch}, batch {bi}"
-                    batch = train_windows.subset(order[sl])
-                    tape = Tape()
-                    bound = model.bind(tape)
-                    loss = _loss_for(model, batch, config.objective, "train", dropout_rng, bound)
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        raise NumericError("training loss went non-finite")
-                    grads = tc.backward(tape, loss)
-                    adam_step(model.params, {k: grads[t.nid].data for k, t in bound.items()},
-                              opt, config.learning_rate)
-                    epoch_loss += value * len(batch)
+                    rows = order[sl]
+                    epoch_loss += _step(model, train_windows.subset(rows), config,
+                                        dropout_rng, opt) * len(rows)
                 epoch_loss /= len(train_windows)
                 where = f"in the validation pass of epoch {epoch}"
                 val_loss = dataset_loss(model, val_windows, config.objective)

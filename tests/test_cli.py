@@ -241,6 +241,61 @@ def test_divergent_training_exits_2_and_logs(workdir, capsys):
         assert err.removeprefix("numeric failure: ") in (workdir / family / "error.log").read_text()
 
 
+TSMIXER_INI = """\
+[data]
+csv = series.csv
+[window]
+lookback = 14
+horizon = 7
+[model]
+family = tsmixer
+hidden = 8
+"""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("hidden = 100000000000000000000",
+     "model.hidden = 100000000000000000000 is too large: parameter 'block0.feat.hidden.weight' "
+     "would have shape (100000000000000000000, 2)"),
+    ("lookback = 100000000000000000000",
+     "window.lookback = 100000000000000000000 is too large: parameter 'block0.time.weight'"),
+    ("horizon = 100000000000000000000",
+     "window.horizon = 100000000000000000000 is too large: parameter 'proj.weight' "
+     "would have shape (100000000000000000000, 14)"),
+])
+def test_a_model_numpy_cannot_address_exits_1(workdir, capsys, line, message):
+    # Only sizes numpy refuses outright: the check runs before any allocation.
+    write_series(workdir / "series.csv")
+    key = line.split(" = ")[0]
+    (workdir / "exp.ini").write_text(re.sub(rf"^{key} = .*$", line, TSMIXER_INI, flags=re.M))
+    assert run_cli("train", "--config", "exp.ini") == 1
+    assert_one_error(capsys, message)
+
+
+def test_one_batch_too_wide_for_numpy_is_a_configuration_error():
+    # Every parameter of this model could be described; 32 windows of its
+    # widest activation could not.  Nothing is allocated either way.
+    cfg = md.ModelConfig(family="tsmixer", lookback=14, horizon=7, targets=2, hidden=10**16)
+    cli._check_array_sizes(cfg, 1)
+    with pytest.raises(cli.ConfigurationError, match=re.escape(
+            "model.hidden = 10000000000000000 is too large: one batch's widest activation "
+            "would have shape (32, 14, 10000000000000000)")):
+        cli._check_array_sizes(cfg, 32)
+
+
+def test_memory_error_is_one_error_line(workdir, capsys, monkeypatch):
+    def train(*args):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(32, 48, 100000000000) and data type float64")
+
+    monkeypatch.setattr(cli.tr, "train", train)
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text(TSMIXER_INI + "[run]\nout = run1\n")
+    assert run_cli("train", "--config", "exp.ini") == 1
+    assert_one_error(capsys, "Unable to allocate 1.46 TiB for an array with shape")
+    assert "MemoryError" in (workdir / "run1" / "error.log").read_text()
+
+
 @pytest.mark.parametrize("argv, log", [
     (("train", "--config", "exp.ini", "--out", "runs/v1.2"), "runs/v1.2/error.log"),
     (("evaluate", "--checkpoint", "runs/v1.2", "--csv", "missing.csv",
@@ -649,9 +704,10 @@ def test_evaluate_and_dataset_loss_do_not_depend_on_the_chunk_size(workdir, caps
     windows = dt.make_windows(dt.Standardizer(cols, mean, std).apply(dt.load_csv("wide.csv")),
                               dt.WindowSpec(L, T))
     reports, losses = [], []
+    width = model.config.activation_width  # hidden 8, wider than the 4 channels
     for per_chunk in (1, 7, 256):
-        monkeypatch.setattr(cli.tr, "EVAL_BYTES", per_chunk * 8 * L * C)
-        sizes = [len(chunk) for _, chunk in cli.tr.eval_chunks(windows)]
+        monkeypatch.setattr(cli.tr, "EVAL_BYTES", per_chunk * 8 * L * width)
+        sizes = [len(chunk) for _, chunk in cli.tr.eval_chunks(windows, width)]
         assert sizes[0] == per_chunk and sum(sizes) == len(windows) == 684
         assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv",
                        "--hierarchy", "hier.json") == 0

@@ -287,6 +287,23 @@ class TestAdam:
         with pytest.raises(errors.ParameterError):
             tr.adam_step(params, {"x": np.zeros(2)}, tr.adam_init(params), lr=0.1)
 
+    def test_textbook_update_bitwise_in_two_scratch_arrays(self):
+        # 80 KB: below the size from which numpy reuses an expression's temporaries.
+        rng = make_rng(84)
+        grads = [rng.normal(size=(100, 100)) for _ in range(3)]
+        params = {"w": np.zeros((100, 100))}
+        state = tr.adam_init(params)
+        tracemalloc.start()
+        try:
+            for g in grads:
+                tracemalloc.reset_peak()
+                live = tracemalloc.get_traced_memory()[0]
+                tr.adam_step(params, {"w": g}, state, lr=0.05)
+                assert tracemalloc.get_traced_memory()[1] - live <= 2 * g.nbytes + 4096
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(params["w"], self.reference_adam(grads, 0.05))
+
 
 def periodic_windows(steps=400, lookback=12, horizon=4, seed=1):
     frame = dt.synth_periodic(6, steps, seed=seed)
@@ -421,3 +438,74 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert step_peak == forward_peak, (step_peak - forward_peak) / 1024
+
+
+class TestStepLifetime:
+    """What a training step makes ends with the step, and its leaves share
+    the parameters' memory."""
+
+    def test_bind_views_each_parameter_and_allocates_no_array(self):
+        model = md.Forecaster(md.ModelConfig(family="tsmixer", lookback=96, horizon=24,
+                                             targets=8, hidden=32, blocks=2), seed=19)
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tape = tc.Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(arrays)
+            bound = model.bind(tape)
+            after = tracemalloc.take_snapshot().filter_traces(arrays)
+        finally:
+            tracemalloc.stop()
+        assert sum(t.size for t in after.traces) == sum(t.size for t in before.traces)
+        assert bound.keys() == model.params.keys()
+        for name, leaf in bound.items():
+            assert leaf.tape is tape and leaf.data.base is model.params[name]
+            with pytest.raises(ValueError, match="read-only"):
+                leaf.data[...] = 0.0
+
+    def test_no_tape_or_leaf_is_alive_in_the_validation_pass(self, monkeypatch):
+        train_w, val_w, _ = periodic_windows()
+        cfg = md.ModelConfig(family="tsmixer", lookback=12, horizon=4, targets=1,
+                             hidden=4, blocks=1, norm="batch2d", dropout=0.2)
+        model = md.Forecaster(cfg, seed=20)
+        seen, dataset_loss = [], tr.dataset_loss
+
+        def checked_dataset_loss(*args, **kwargs):
+            seen.append(sum(isinstance(o, tc.Tape) or (isinstance(o, Tensor) and o.tape)
+                            for o in gc.get_objects()))
+            return dataset_loss(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "dataset_loss", checked_dataset_loss)
+        tr.train(model, train_w, val_w, tr.TrainConfig(learning_rate=0.005, max_epochs=3,
+                                                       patience=5, batch_size=32, seed=21))
+        assert seen == [0, 0, 0]
+
+
+def window_shapes(n: int, cfg: md.ModelConfig) -> dt.WindowBatch:
+    """``n`` all-zero windows of ``cfg``'s shapes, views of one window."""
+    def like(rows, cols):
+        return np.broadcast_to(np.zeros((1, rows, cols)), (n, rows, cols))
+
+    return dt.WindowBatch(like(cfg.lookback, cfg.input_channels),
+                          like(cfg.horizon, cfg.future_covariates),
+                          like(1, cfg.static_features), like(cfg.horizon, cfg.targets),
+                          np.arange(n))
+
+
+@pytest.mark.parametrize("cfg, sizes", [
+    # train_long's validation pass: hidden 64 is wider than its 21 channels.
+    (md.ModelConfig(family="tsmixer", lookback=512, horizon=96, targets=21, hidden=64,
+                    blocks=2, rev_in=True), [32, 32]),
+    # evaluate_wide: the linear family holds nothing wider than its input.
+    (md.ModelConfig(family="linear", lookback=512, horizon=96, targets=321),
+     [6] * 10 + [4]),
+    # train_counts_ext: still one chunk.
+    (md.ModelConfig(family="tsmixer_ext", lookback=96, horizon=24, targets=10,
+                    hist_covariates=2, future_covariates=4, static_features=3, hidden=32,
+                    blocks=2, dropout=0.1, head="negative_binomial"), [64]),
+], ids=["tsmixer_hidden_wider", "linear_wide", "tsmixer_ext_counts"])
+def test_eval_chunks_fit_the_widest_activation(cfg, sizes):
+    windows = window_shapes(sum(sizes), cfg)
+    chunks = list(tr.eval_chunks(windows, cfg.activation_width))
+    assert [len(chunk) for _, chunk in chunks] == sizes
+    assert [rows.start for rows, _ in chunks] == [sum(sizes[:k]) for k in range(len(sizes))]
