@@ -180,7 +180,8 @@ def rev_in_normalize(x) -> tuple[Tensor, RevInState]:
 
 
 def rev_in_denormalize(y, state: RevInState) -> Tensor:
-    """Undo ``rev_in_normalize`` on a forecast sharing batch and channels."""
+    """Undo ``rev_in_normalize`` on a forecast sharing batch and channels:
+    y * std + mean, one ``tc.standardize`` node with exact mean 0 and variance 1."""
     y = _lift(y)
     if y.ndim != 3:
         raise DimensionError(f"rev_in_denormalize expects batch x rows x cols, got shape {y.shape}")
@@ -188,7 +189,7 @@ def rev_in_denormalize(y, state: RevInState) -> Tensor:
         raise StateError(
             f"rev_in state of shape {state.mean.shape} does not match forecast shape {y.shape}"
         )
-    return tc.add(tc.mul(y, Tensor(state.std)), Tensor(state.mean))
+    return tc.standardize(y, (), VAR_FLOOR, (state.std, state.mean), (0.0, 1.0))[0]
 
 
 # ---------------------------------------------------------------------------

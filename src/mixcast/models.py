@@ -330,11 +330,12 @@ class Forecaster:
         valid until the parameters next change: the tape must be done with
         (``backward`` run) before anything, such as ``adam_step``, writes them.
         """
-        return {name: tape.leaf(Tensor._wrap(arr.view())) for name, arr in self.params.items()}
+        return {name: tape.leaf(t) for name, t in self._tensors(None).items()}
 
     def _tensors(self, params) -> dict[str, Tensor]:
+        # Without ``params``, read-only views: nothing writes them in a forward.
         if params is None:
-            return {name: Tensor(arr) for name, arr in self.params.items()}
+            return {name: Tensor._wrap(arr.view()) for name, arr in self.params.items()}
         missing = set(self.params) - set(params)
         if missing:
             raise ConfigurationError(f"forward: missing parameters {sorted(missing)[:3]}...")

@@ -68,8 +68,9 @@ class Tensor:
     ``data`` is always read-only.  Building a Tensor from external data
     copies it, so callers can never mutate a value after the fact; only a
     float64 ndarray read-only down its whole ``.base`` chain is shared.  The
-    one exception is ``Forecaster.bind``: its leaves are read-only views of
-    the model's writable parameters, valid until the parameters next change.
+    one exception is a model's parameters: ``Forecaster.bind`` and an
+    eval-mode forward see them as read-only views of the writable arrays,
+    valid until the parameters next change.
     """
 
     __slots__ = ("data", "tape", "nid")

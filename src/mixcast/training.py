@@ -1,8 +1,9 @@
 """Losses, the Adam optimizer, and the training loop.
 
 Each loss is one tape node: its value is computed in numpy and its VJPs
-are closed form.  The negative binomial's log-gamma and digamma are series
-evaluated here, so training needs numpy alone.
+are closed form.  The negative binomial's log-gamma is a series evaluated
+here, and its dispersion gradient one cancellation-free series with no
+digamma, so training needs numpy alone.
 
 The loop is deterministic given its seed: batch shuffling and dropout
 draw from separate counter-based streams, so two runs with the same seed
@@ -84,46 +85,46 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
         return tc._unbroadcast(g * ((r + y) / r_mu - y / mu.data) / n, mu.data.shape)
 
     def vjp_alpha(g):  # d(-ll)/dr times dr/dalpha = -r^2
-        dr = np.asarray(_digamma(y + r) - _digamma(r) + log_r - log_sum
-                        + 1.0 - (r + y) / r_mu)
-        # Past r = 10, and at y = 0 once mu << r, this cancels and loses digits;
-        # redo those elements.
-        redo = np.broadcast_to((r > 10.0) | (y == 0.0), dr.shape)
-        if redo.any():
-            dr[redo] = _nb_bracket(*(np.broadcast_to(a, dr.shape)[redo] for a in (r, y, mu.data)))
-        return tc._unbroadcast(g * r * r * dr / n, alpha.data.shape)
+        return tc._unbroadcast(g * r * r * _nb_bracket(r, y, mu.data) / n, alpha.data.shape)
 
     return tc._join(np.asarray(-ll.mean()), ((mu, vjp_mu), (alpha, vjp_alpha)))
 
 
 def _nb_bracket(r, y, mu):
-    """psi(y+r) - psi(r) + log r - log(r+mu) + 1 - (r+y)/(r+mu) for r > 10 or
-    y = 0, free of the cancellation of that expression (about 1e-14 relative
-    error).
+    """psi(y+r) - psi(r) + log r - log(r+mu) + 1 - (r+y)/(r+mu) on broadcast
+    operands, free of the cancellation of that expression (about 1e-14 relative).
 
-    It is [phi(r+y) - phi(r)] + [log1p(t) - t], with phi(x) = psi(x) - log x
-    and t = (y-mu)/(r+mu).  phi is its asymptotic series sum_n -c_n x^-n
-    (``PHI_COEFS``), differenced term by term in closed form:
-    u^n - v^n = y u v sum_{j<n} u^(n-1-j) v^j, with u = 1/r and v = 1/(r+y).
+    It is [phi(a+y) - phi(a)] + [log1p(t) - t], with phi(x) = psi(x) - log x,
+    t = (y-mu)/(r+mu) and a = r from r = 10 up.  phi is its asymptotic series
+    sum_n -c_n x^-n (``PHI_COEFS``), differenced term by term in closed form:
+    u^n - v^n = y u v sum_{j<n} u^(n-1-j) v^j, with u = 1/a and v = 1/(a+y).
+    Below r = 10, a = r + 10, and digamma's ten recurrence steps add
+    y sum_{k<10} 1/((r+k)(r+k+y)) + log1p(y/a) - log1p(y/r).
     log1p(t) - t is its Taylor series where |t| < 0.1.
     """
-    # At y = 0 the phi difference is exactly 0; zero u and v there, where r may
-    # be small enough for the series to overflow.
-    u, v = (np.where(y == 0.0, 0.0, 1.0 / x) for x in (r, r + y))
-    s = v_pow = np.ones_like(u)  # sum_{j<n} u^(n-1-j) v^j and v^(n-1), from n = 1
+    below = r < 10.0
+    a = np.where(below, r + 10.0, r)
+    u, v = 1.0 / a, 1.0 / (a + y)
+    s = v_pow = np.ones_like(v)  # sum_{j<n} u^(n-1-j) v^j and v^(n-1), from n = 1
     phi_diff = PHI_COEFS[0] * s
     for c in PHI_COEFS[1:]:
         v_pow = v_pow * v
         s = u * s + v_pow
         phi_diff += c * s
+    # The steps at r < 10 and y > 0 only: p = inf zeroes them elsewhere, where
+    # r may be tiny and y = 0.  Smallest term first.
+    p = np.where(below & (y > 0.0), r, np.inf)
+    steps = sum(1.0 / ((p + k) * (p + k + y)) for k in range(9, -1, -1))
+    shift = y * steps + (np.log1p(y / a) - np.log1p(y / r))
     t = (y - mu) / (r + mu)
-    tail = np.log((r + y) / (r + mu)) - t  # log1p(t) would round 1 + t to 0 once mu >> r
+    # asarray: a 0-d tail is written below.  log1p(t) would round 1 + t to 0 once mu >> r.
+    tail = np.asarray(np.log((r + y) / (r + mu)) - t)
     small = np.abs(t) < 0.1
     ts, series = t[small], 0.0
     for k in range(17, 1, -1):  # log1p(t) - t = -t^2 sum_{k>=2} (-t)^(k-2) / k
         series = series * -ts + 1.0 / k
     tail[small] = -ts * ts * series
-    return y * u * v * phi_diff + tail
+    return y * u * v * phi_diff + shift + tail
 
 
 # phi(x) = psi(x) - log x has the asymptotic series -sum_n c_n x^-n, n = 1..14
@@ -151,22 +152,6 @@ def _log_gamma(x):
     # their difference is exact.  (z - 1/2)(log z - 1) rounds less than (z - 1/2) log z - z.
     return ((z - 0.5) * (np.log(z) - 1.0) - np.where(below, np.log(prod), 0.0)
             + (HALF_LOG_2PI_LESS_HALF + w * s))
-
-
-def _digamma(x):
-    """psi(x) for x > 0: log z - sum_n c_n z^-n at z = x + 10 less
-    sum_{k<10} 1 / (x + k) below 10, and at z = x above."""
-    below = x < 10.0
-    z, p = np.where(below, x + 10.0, x), np.minimum(x, 10.0)  # p: unused sums stay finite
-    num, den = np.ones_like(p), p  # sum_{j<=k} 1 / (p + j) is num / den
-    for k in range(1, 10):
-        q = p + k
-        num, den = num * q + den, den * q
-    w = 1.0 / z
-    w2, s = w * w, 0.0
-    for c in PHI_COEFS[:0:-2]:  # c_n is 0 at odd n > 1
-        s = (s + c) * w2
-    return np.log(z) - PHI_COEFS[0] * w - s - np.where(below, num / den, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +242,22 @@ class TrainHistory:
     stop_reason: str = ""
 
 
-def _loss_for(model: Forecaster, batch: WindowBatch, objective: str, mode: str,
-              rng, params) -> Tensor:
+def _loss_for(model: Forecaster, batch: WindowBatch, mode: str, rng, params) -> Tensor:
+    """MSE on a point forecast, the negative binomial's NLL on mean and dispersion."""
     out = model.forward(batch.history, batch.future, batch.static,
                         mode=mode, rng=rng, params=params)
-    if objective == "mse":
+    if out.point is not None:
         return mse_loss(out.point, batch.target)
     return nb_nll_loss(out.mean, out.dispersion, batch.target)
 
 
-def dataset_loss(model: Forecaster, windows: WindowBatch, objective: str = "mse") -> float:
+def dataset_loss(model: Forecaster, windows: WindowBatch) -> float:
     """Eval-mode loss over a whole window set, size-weighted over chunks."""
     if len(windows) == 0:
         raise ParameterError("dataset_loss: empty window set")
     total = 0.0
     for _, chunk in eval_chunks(windows, model.config.activation_width):
-        loss = _loss_for(model, chunk, objective, "eval", None, None)
+        loss = _loss_for(model, chunk, "eval", None, None)
         total += loss.item() * len(chunk)
     return total / len(windows)
 
@@ -305,7 +290,7 @@ def _step(model: Forecaster, batch: WindowBatch, config: TrainConfig, rng,
     before the next step's forward or the validation pass."""
     tape = Tape()
     bound = model.bind(tape)
-    loss = _loss_for(model, batch, config.objective, "train", rng, bound)
+    loss = _loss_for(model, batch, "train", rng, bound)
     value = loss.item()
     if not np.isfinite(value):
         raise NumericError("training loss went non-finite")
@@ -355,7 +340,7 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
                                         dropout_rng, opt) * len(rows)
                 epoch_loss /= len(train_windows)
                 where = f"in the validation pass of epoch {epoch}"
-                val_loss = dataset_loss(model, val_windows, config.objective)
+                val_loss = dataset_loss(model, val_windows)
                 history.records.append(EpochRecord(epoch, epoch_loss, val_loss))
 
                 if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:

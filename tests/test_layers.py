@@ -266,6 +266,7 @@ class TestRevIn:
     def test_is_one_standardize_node(self):
         # A taped input is differentiated as tc.standardize over time,
         # statistics included; a model's history is data, so no model tapes it.
+        # The inverse is one node too, bitwise y * std + mean.
         x = make_rng(54).normal(size=(2, 6, 3))
         x[1, :, 2] = 4.0  # a constant channel: its variance is floored
         r = make_rng(55).normal(size=(2, 6, 3))
@@ -276,6 +277,16 @@ class TestRevIn:
         np.testing.assert_array_equal(xn.data, out.data)
         np.testing.assert_array_equal(state.mean, m)
         np.testing.assert_array_equal(state.std, np.sqrt(np.maximum(v, ly.VAR_FLOOR)))
+        y = tape.leaf(r)
+        back = ly.rev_in_denormalize(y, state)
+        assert back.nid == 3 and len(tape) == 4
+        np.testing.assert_array_equal(back.data, r * state.std + state.mean)
+        tape2 = Tape()
+        y2 = tape2.leaf(r)
+        back2 = tc.add(tc.mul(y2, Tensor(state.std)), Tensor(state.mean))
+        np.testing.assert_array_equal(
+            tc.backward(tape, tc.mean(tc.mul(back, Tensor(x))))[y.nid].data,
+            tc.backward(tape2, tc.mean(tc.mul(back2, Tensor(x))))[y2.nid].data)
 
         def f(ps):
             return tc.mean(tc.mul(ly.rev_in_normalize(ps[0])[0], Tensor(r)))
