@@ -32,6 +32,7 @@ from . import training as tr
 from .errors import (ConfigurationError, DataError, FormatError, MixcastError, NumericError,
                      reading)
 from .params_io import load_params, save_params
+from .rng import make_rng
 
 _BUFFER_PREFIX = "buffer:"
 
@@ -305,7 +306,7 @@ def _check_array_sizes(config: md.ModelConfig, batch: int) -> None:
               for name, shape in md.Forecaster.shapes(config)[0].items()}
     arrays["one batch's widest activation"] = (batch, config.lookback, config.activation_width)
     for what, shape in arrays.items():
-        if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        if math.prod(shape) > md.MAX_FLOATS:
             field = max(_SIZE_FIELDS, key=lambda name: (getattr(config, name) in shape,
                                                         getattr(config, name)))
             raise ConfigurationError(
@@ -444,6 +445,12 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for shape in (("steps", "variates"), ("period", "variates")):  # the frame, a template
+        if math.prod(max(getattr(args, flag), 0) for flag in shape) > md.MAX_FLOATS:
+            flag = max(shape, key=lambda name: getattr(args, name))
+            raise ConfigurationError(
+                f"--{flag} = {getattr(args, flag)} is too large: a ({', '.join(shape)}) array "
+                "would have more bytes than numpy can address")
     kind = args.kind
     if kind == "periodic":
         frame = dt.synth_periodic(args.period, args.steps, variates=args.variates,
@@ -475,7 +482,7 @@ def _final_horizon(frame: dt.SeriesFrame, w: np.ndarray, b: np.ndarray):
 def cmd_verify_theory(args) -> int:
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
-    rng_master = np.random.Generator(np.random.Philox([args.seed, 17]))
+    rng_master = make_rng(args.seed, 17)
     violations: list[str] = []
     worst_periodic = 0.0
     for trial in range(args.trials):

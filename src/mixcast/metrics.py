@@ -13,7 +13,6 @@ is the mean over levels.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,28 +108,20 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
         if n != lengths[0]:
             raise MetricError(f"wrmsse: series {c!r} has forecast, actual and history lengths "
                               f"{n}, but {ids[0]!r} has {lengths[0]}")
-    base = np.array([np.concatenate(p) for p in parts])  # one row per series: f | a | h
+    # One row per series, f | a | h, summed as one: numpy adds an axis-0 sum's
+    # rows in order only when they are two or more wide (one-wide is pairwise).
+    base = np.array([np.concatenate(p) for p in parts])
     index = {c: i for i, c in enumerate(ids)}
     per_level: dict[str, float] = {}
     for level in spec.levels:
-        rows = _aggregate(base, [[index[m] for m in ms] for ms in level.groups.values()])
+        rows = np.array([base[[index[m] for m in ms]].sum(axis=0)
+                         for ms in level.groups.values()])
         scores = rmsse(*np.split(rows, np.cumsum(lengths[0][:2]), axis=1))
         score = 0.0
         for agg, r in zip(level.groups, scores.tolist()):
             score += level.weights[agg] * r
         per_level[level.name] = score
     return float(np.mean(list(per_level.values()))), per_level
-
-
-def _aggregate(rows: np.ndarray, groups: list[list[int]]) -> np.ndarray:
-    """One row per group: its members' ``rows`` added in their listed order."""
-    order = sorted(range(len(groups)), key=lambda k: len(groups[k]), reverse=True)
-    ranked = [groups[k] for k in order]  # largest first, so the groups still adding lead
-    out = rows[[g[0] for g in ranked]]
-    for j in range(1, len(ranked[0])):
-        members = [g[j] for g in itertools.takewhile(lambda g: len(g) > j, ranked)]
-        out[:len(members)] += rows[members]
-    return out[np.argsort(order)]
 
 
 def load_hierarchy(path) -> HierarchySpec:

@@ -26,7 +26,7 @@ Lipschitz trend with bounded error, plus exact parameter counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,9 @@ HEADS = ("point", "negative_binomial")
 
 # Strictly positive floor added to softplus outputs of the distribution head.
 HEAD_FLOOR = 1e-6
+
+# The most float64 values whose bytes numpy can address.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -101,6 +104,12 @@ class ModelConfig:
                     "rev_in shifts the output scale and cannot guarantee the strictly positive "
                     "parameters a negative-binomial head requires"
                 )
+        if self.blocks > 2:  # before a walk of `blocks` steps; blocks after the first are alike
+            one, two = (param_count(replace(self, blocks=k)) for k in (1, 2))
+            if one + (self.blocks - 1) * (two - one) > MAX_FLOATS:
+                raise ConfigurationError(
+                    f"model.blocks = {self.blocks} is too large: the parameters would have "
+                    "more bytes than numpy can address")
 
     @property
     def placement(self) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Conventional stream ids.  Any int works; these keep call sites readable.
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
@@ -21,5 +23,8 @@ STREAM_DROPOUT = 2
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return a Generator for (seed, stream), independent across streams."""
+    """Return a Generator for (seed, stream), independent across streams;
+    every seed in mixcast becomes a generator here, and must be >= 0."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox([int(seed), int(stream)]))

@@ -85,7 +85,10 @@ def nb_nll_loss(mean, dispersion, counts) -> Tensor:
         return tc._unbroadcast(g * ((r + y) / r_mu - y / mu.data) / n, mu.data.shape)
 
     def vjp_alpha(g):  # d(-ll)/dr times dr/dalpha = -r^2
-        return tc._unbroadcast(g * r * r * _nb_bracket(r, y, mu.data) / n, alpha.data.shape)
+        b = _nb_bracket(r, y, mu.data)
+        # r * b -> 1 as r -> 0, while r * r loses digits from r = 1.5e-154 down.
+        return tc._unbroadcast(np.where(r < 1e-100, g * r * (r * b), g * r * r * b) / n,
+                               alpha.data.shape)
 
     return tc._join(np.asarray(-ll.mean()), ((mu, vjp_mu), (alpha, vjp_alpha)))
 
@@ -115,7 +118,10 @@ def _nb_bracket(r, y, mu):
     # r may be tiny and y = 0.  Smallest term first.
     p = np.where(below & (y > 0.0), r, np.inf)
     steps = sum(1.0 / ((p + k) * (p + k + y)) for k in range(9, -1, -1))
-    shift = y * steps + (np.log1p(y / a) - np.log1p(y / r))
+    with np.errstate(over="ignore"):  # from alpha y = 1.8e308 on, where log1p(y/r) = log(y/r)
+        y_r = y / r
+    log1p_y_r = np.where(y_r < np.inf, np.log1p(y_r), np.log(y + r) - np.log(r))
+    shift = y * steps + (np.log1p(y / a) - log1p_y_r)
     t = (y - mu) / (r + mu)
     # asarray: a 0-d tail is written below.  log1p(t) would round 1 + t to 0 once mu >> r.
     tail = np.asarray(np.log((r + y) / (r + mu)) - t)

@@ -22,21 +22,32 @@ def test_tier1_workflow_runs_the_roadmap_command():
     assert python == ["3.11"]
 
 
+def heredoc(run: str) -> str:
+    """The Python script of a ``python - <<'EOF'`` step."""
+    first, *script, last = run.strip().split("\n")
+    assert (first, last) == ("python - <<'EOF'", "EOF")
+    return "\n".join(script)
+
+
 def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch():
+    """The no-extras install trains one negative-binomial epoch, then runs
+    synth, train, evaluate --hierarchy and forecast; both steps run here."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["numpy-only"]["steps"]
     python = [step["with"]["python-version"] for step in steps
               if step.get("uses", "").startswith("actions/setup-python")]
     assert python == ["3.11"]
-    install, no_scipy, epoch = [step["run"] for step in steps if "run" in step]
+    install, no_scipy, epoch, commands = [step["run"] for step in steps if "run" in step]
     assert install == "python -m pip install -e ."
     assert no_scipy == ('python -c "import importlib.util, sys; '
                         "sys.exit(importlib.util.find_spec('scipy') is not None)\"")
-    first, *script, last = epoch.strip().split("\n")
-    assert (first, last) == ("python - <<'EOF'", "EOF")
-    script = "\n".join(script)
+    script = heredoc(epoch)
     assert 'objective="nb_nll"' in script and "max_epochs=1" in script
     exec(compile(script, "numpy-only epoch", "exec"), {})  # the step itself runs here
+    script = heredoc(commands)
+    assert all(f'["{name}", ' in script for name in ("synth", "train", "evaluate", "forecast"))
+    assert '"--hierarchy"' in script and "cli.main(argv) != 0" in script
+    exec(compile(script, "numpy-only CLI", "exec"), {})
 
 
 def test_bench_smoke_job_runs_every_benchmark_workload_with_its_checks():

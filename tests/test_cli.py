@@ -84,6 +84,25 @@ def test_synth_writes_provenance_and_loadable_csv(workdir):
     assert np.allclose(frame.values[5:], frame.values[:-5])
 
 
+@pytest.mark.parametrize("flag, shape", [("steps", "steps, variates"),
+                                         ("variates", "steps, variates"),
+                                         ("period", "period, variates")])
+def test_synth_sizes_numpy_cannot_hold_exit_1(workdir, capsys, flag, shape):
+    assert run_cli("synth", "--kind", "periodic", "--steps", "20",  # the last --steps counts
+                   f"--{flag}", "100000000000000000000", "--out", "s.csv") == 1
+    assert_one_error(capsys, f"--{flag} = 100000000000000000000 is too large: "
+                             f"a ({shape}) array would have more bytes than numpy can address")
+
+
+def test_a_negative_seed_exits_1(workdir, capsys):
+    message = "seed must be a non-negative integer, got -1"
+    assert_train_rejects_line(workdir, capsys, "run", "seed = -1", message)
+    for argv in (("synth", "--kind", "periodic", "--steps", "20", "--out", "s.csv"),
+                 ("verify-theory", "--trials", "1")):
+        assert run_cli(*argv, "--seed", "-1") == 1
+        assert_one_error(capsys, message)
+
+
 def test_synth_crossvariate_kind(workdir):
     assert run_cli("synth", "--kind", "crossvariate", "--steps", "60", "--lag", "4",
                    "--noise", "0.0", "--seed", "1", "--out", "x.csv") == 0
@@ -269,6 +288,24 @@ def test_a_model_numpy_cannot_address_exits_1(workdir, capsys, line, message):
     key = line.split(" = ")[0]
     (workdir / "exp.ini").write_text(re.sub(rf"^{key} = .*$", line, TSMIXER_INI, flags=re.M))
     assert run_cli("train", "--config", "exp.ini") == 1
+    assert_one_error(capsys, message)
+
+
+def test_too_many_blocks_exit_1_from_an_experiment_and_a_model_ini(workdir, capsys):
+    # The other families are covered in test_models: before the blocks check,
+    # their layer walk ran without end.
+    write_series(workdir / "series.csv")
+    ext = TSMIXER_INI.replace("tsmixer", "tsmixer_ext")
+    message = "model.blocks = 100000000000000000000 is too large"
+    (workdir / "exp.ini").write_text(ext + "blocks = 100000000000000000000\n")
+    assert run_cli("train", "--config", "exp.ini") == 1
+    assert_one_error(capsys, message)
+    (workdir / "exp.ini").write_text(ext + "[train]\nmax_epochs = 1\n[run]\nout = run1\n")
+    assert run_cli("train", "--config", "exp.ini") == 0
+    ini = workdir / "run1" / "model.ini"
+    ini.write_text(ini.read_text().replace("blocks = 2", "blocks = 100000000000000000000"))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", "run1", "--csv", "series.csv") == 1
     assert_one_error(capsys, message)
 
 

@@ -1,6 +1,8 @@
 """Scaled errors and hierarchical aggregation."""
 
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -95,6 +97,28 @@ class TestWrmsse:
             level_scores.append(s)
             assert per_level[level.name] == pytest.approx(s, abs=1e-12)
         assert score == pytest.approx(sum(level_scores) / len(level_scores), abs=1e-12)
+
+    @pytest.mark.parametrize("horizon", [1, 5])
+    def test_aggregates_add_members_one_by_one_in_listed_order(self, horizon):
+        # Bitwise: a pairwise sum (numpy's for one-element-wide rows) differs
+        # from one-by-one addition once an aggregate has more than 8 members.
+        rng = make_rng(92)
+        ids = [f"s{i:02d}" for i in range(60)]
+        order = [ids[i] for i in rng.permutation(len(ids))]
+        kinds = [{c: rng.lognormal(3.0, 1.0) * rng.normal(1.0, 0.3, size=n) for c in ids}
+                 for n in (horizon, horizon, 30)]
+        levels = [{"big": order[:40], "mid": order[40:49], "rest": order[49:]},
+                  {f"p{k}": order[k::7] for k in range(7)}]
+        spec = mt.HierarchySpec([mt.HierarchyLevel(f"l{j}", g, {k: 1 / len(g) for k in g})
+                                 for j, g in enumerate(levels)])
+        _, per_level = mt.wrmsse(*kinds, spec)
+        for level in spec.levels:
+            rows = [np.array([functools.reduce(operator.add, [d[m] for m in ms])
+                              for ms in level.groups.values()]) for d in kinds]
+            want = 0.0
+            for agg, r in zip(level.groups, mt.rmsse(*rows).tolist()):
+                want += level.weights[agg] * r
+            assert per_level[level.name] == want
 
     def test_perfect_forecast_scores_zero(self):
         forecasts, _, histories, spec = toy_problem()

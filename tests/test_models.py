@@ -418,6 +418,21 @@ class TestParamCount:
                 assert list(params.items()) == [(k, a.shape) for k, a in model.params.items()]
                 assert list(buffers.items()) == [(k, b.shape) for k, b in model.buffers.items()]
 
+    def test_blocks_numpy_cannot_address_are_refused_without_a_walk(self):
+        # Blocks after the first are alike, so the counts at 1 and 2 blocks
+        # give any other; validate checks that, and walks nothing this long.
+        for cfg in self.CONFIGS:
+            one, two = (md.param_count(dataclasses.replace(cfg, blocks=k)) for k in (1, 2))
+            assert md.param_count(dataclasses.replace(cfg, blocks=5)) == one + 4 * (two - one)
+            if cfg.family == "linear":  # it has no blocks to count
+                dataclasses.replace(cfg, blocks=10**20).validate()
+                continue
+            most = (md.MAX_FLOATS - one) // (two - one) + 1
+            dataclasses.replace(cfg, blocks=most).validate()
+            with pytest.raises(errors.ConfigurationError,
+                               match=f"model.blocks = {most + 1} is too large"):
+                dataclasses.replace(cfg, blocks=most + 1).validate()
+
     def test_linear_family_count(self):
         cfg = md.ModelConfig(family="linear", lookback=48, horizon=12, targets=7)
         assert md.param_count(cfg) == 12 * 48 + 12

@@ -5,6 +5,9 @@ Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
 """
 
+import contextlib
+import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -78,6 +81,56 @@ def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
         cli.load_checkpoint(directory / "mutant.ini")
     except MixcastError:
         pass
+
+
+EXPERIMENT_INI = """\
+[run]
+seed = 1
+[data]
+csv = series.csv
+[window]
+lookback = 6
+horizon = 3
+stride = 1
+[model]
+hidden = 4
+blocks = 1
+norm = layer
+[train]
+learning_rate = 1e-15
+max_epochs = 1
+patience = 1
+batch_size = 8
+"""
+# The integer keys of an experiment.  The learning rate is too small for a
+# second epoch to improve on the first by IMPROVEMENT_ATOL, and layer norm
+# keeps no running statistics, so early stopping ends any run at two epochs.
+INTEGER_KEYS = re.findall(r"^(\w+) = -?\d+$", EXPERIMENT_INI, re.M)
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("experiment")
+    dt.save_csv(dt.synth_periodic(5, 40, variates=2, seed=2), directory / "series.csv")
+    return directory
+
+
+@BOUNDED
+@given(data=st.data())
+def test_experiment_integer_mutations_exit_0_or_1(experiment, data):
+    key = data.draw(st.sampled_from(INTEGER_KEYS), label="key")
+    # Small values, or values no index can hold: a size in between could
+    # run for as long as it is large.
+    value = data.draw(st.one_of(st.integers(-2, 8), st.integers(2**63, 2**80)), label="value")
+    ini = re.sub(rf"^{key} = .*$", f"{key} = {value}", EXPERIMENT_INI, flags=re.M)
+    (experiment / "exp.ini").write_text(ini.replace("series.csv", str(experiment / "series.csv")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--config", str(experiment / "exp.ini"),
+                         "--out", str(experiment / "run")])
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert code in (0, 1) and len(lines) == 1, (key, value, code, lines)
+    assert lines[0].startswith("trained " if code == 0 else "error: "), lines
 
 
 def payload_top_bytes(path):

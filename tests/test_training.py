@@ -246,6 +246,17 @@ class TestNegativeBinomial:
         np.testing.assert_allclose(got, r * r * (np.log(r / (r + mu)) + mu / (r + mu)),
                                    rtol=1e-14, atol=0.0)
 
+    def test_dispersion_gradient_at_huge_alpha(self):
+        # The closed form r^2 [psi(y+r) - psi(r) + log r - log(r+mu) + 1 - (r+y)/(r+mu)]
+        # at r = 1/alpha, evaluated by mpmath at 400 digits, rounds to 1/alpha
+        # at each of these points; r^2 underflows from alpha = 7e153, and y/r
+        # overflows at alpha = 1e306, y = 1000.
+        alpha, y = np.repeat([1e150, 1e170, 1e306], 2), np.tile([1.0, 1000.0], 3)
+        tape = tc.Tape()
+        a = tape.leaf(alpha)
+        got = tc.backward(tape, tr.nb_nll_loss(np.full(6, 2.0), a, y))[a.nid].data * 6
+        np.testing.assert_allclose(got, 1.0 / alpha, rtol=1e-10, atol=0.0)
+
     def test_domain_checks(self):
         with pytest.raises(errors.ParameterError, match="non-negative"):
             tr.nb_nll_loss(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
