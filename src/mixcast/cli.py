@@ -18,6 +18,7 @@ import configparser
 import math
 import sys
 import traceback
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -597,7 +598,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.fn(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         _write_error_log(args)
@@ -610,6 +613,11 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         _write_error_log(args)
         return 2
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning:`` line on stderr, without its source."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _write_error_log(args) -> None:

@@ -69,14 +69,16 @@ def linear_init(out_dim: int, in_dim: int, rng: np.random.Generator) -> tuple[np
     return weight, np.zeros(out_dim)
 
 
-def temporal_projection(x, p: LinearParams) -> Tensor:
-    """Map ``rows`` time steps to ``out`` steps, shared across channels."""
-    return tc.linear(x, p.weight, p.bias, True)
+def temporal_projection(x, p: LinearParams, relu: bool = False) -> Tensor:
+    """Map ``rows`` time steps to ``out`` steps, shared across channels;
+    ``relu`` applies max(., 0) inside the same node."""
+    return tc.linear(x, p.weight, p.bias, True, relu)
 
 
-def feature_linear(x, p: LinearParams) -> Tensor:
-    """Map channels to channels, shared across rows (applied row-wise)."""
-    return tc.linear(x, p.weight, p.bias, False)
+def feature_linear(x, p: LinearParams, relu: bool = False) -> Tensor:
+    """Map channels to channels, shared across rows (applied row-wise);
+    ``relu`` applies max(., 0) inside the same node."""
+    return tc.linear(x, p.weight, p.bias, False, relu)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def time_mixing(x, p: LinearParams, norm: NormParams, rate: float = 0.0,
         raise DimensionError(f"time_mixing requires a square projection, got weight {w.shape}")
 
     def body(inp: Tensor) -> Tensor:
-        return tc.dropout(tc.relu(temporal_projection(inp, p)), rate, mode, rng)
+        return tc.dropout(temporal_projection(inp, p, relu=True), rate, mode, rng)
 
     return _residual(x, x, body, norm, mode, placement)
 
@@ -250,7 +252,7 @@ def feature_mixing(x, p: FeatureMixParams, norm: NormParams, rate: float = 0.0,
         )
 
     def body(inp: Tensor) -> Tensor:
-        u = tc.dropout(tc.relu(feature_linear(inp, p.hidden)), rate, mode, rng)
+        u = tc.dropout(feature_linear(inp, p.hidden, relu=True), rate, mode, rng)
         return tc.dropout(feature_linear(u, p.out), rate, mode, rng)
 
     res = x if p.residual is None else feature_linear(x, p.residual)

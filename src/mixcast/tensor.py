@@ -13,6 +13,13 @@ of its forward, and no reference cycle outlives the walk.  A second
 ``backward`` on the same tape raises ``ContractError``.  Each VJP closure
 holds only what it reads; ``relu`` and ``dropout`` hold a bool mask.
 
+The adjoint contract: a VJP may overwrite its ``g`` only when ``g`` is
+writable, and hands ``g`` itself on to a parent only as a read-only view.
+``_unbroadcast`` returns an adjoint it leaves unsummed that way, so the one
+array ``add`` hands to both its parents is written by neither.  Every other
+VJP returns an array it allocated, or a view of ``g`` that is read-only
+whenever ``g`` is.  A writable ``g`` therefore belongs to its node alone.
+
 Operations are free functions.  They accept Tensors, numpy arrays, or
 Python scalars; non-Tensor inputs are lifted to constants, copied unless
 nothing can write to them (see ``Tensor``).  When no
@@ -27,8 +34,11 @@ one node; there is no ``sub`` or ``div``.  The time-axis product of
 ``linear`` is one GEMM over every column of the batch; without a tape it is
 the broadcast product, which reads the input in place where the GEMM layout
 would copy it, unless the input is narrow and the map tall (``NARROW_COLS``).
-Without a tape, each op writes its epilogue (bias, affine) into the buffer
-it just allocated.
+Each op writes its epilogue into the buffer it just allocated: ``linear``
+its bias and, with ``relu=True``, ``max(., 0)``, keeping only the bool mask
+on a tape; ``standardize`` its affine without a tape.  A ReLU ``linear``
+masks its adjoint once for all its VJPs, in place under the contract above.
+``relu`` stays as the reference the fused map is tested against.
 
 Every op is numpy alone: ``softplus``'s gradient computes the logistic
 itself.
@@ -175,13 +185,19 @@ def _join(out: np.ndarray, entries: Sequence[tuple[Tensor, Callable]]) -> Tensor
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, (ge, se) in enumerate(zip(g.shape, shape)):
+    """Sum ``g`` down to ``shape``, undoing numpy broadcasting.  With nothing
+    to sum it returns ``g`` itself as a read-only view: ``add`` hands that to
+    both its parents, so neither may overwrite it."""
+    out = g
+    while out.ndim > len(shape):
+        out = out.sum(axis=0)
+    for ax, (ge, se) in enumerate(zip(out.shape, shape)):
         if se == 1 and ge != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
+            out = out.sum(axis=ax, keepdims=True)
+    if out is g and g.flags.writeable:
+        out = g.view()
+        out.flags.writeable = False
+    return out
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
@@ -229,18 +245,44 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def linear(x, w, b, time_axis: bool) -> Tensor:
+def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``g * mask``, written into ``g`` when ``g`` is writable, which under
+    the adjoint contract (module docstring) means that no other node reads it."""
+    if g.flags.writeable:
+        g *= mask
+        return g
+    return g * mask
+
+
+def _once(f: Callable) -> Callable:
+    """``f`` of a node's adjoint, computed by the first of the node's VJPs
+    that the walk calls and shared with the others."""
+    held = []
+
+    def shared(g: np.ndarray) -> np.ndarray:
+        if not held:
+            held.append(f(g))
+        return held[0]
+
+    return shared
+
+
+def linear(x, w, b, time_axis: bool, relu: bool = False) -> Tensor:
     """``w`` (O x I) applied along the rows of ``x`` (``time_axis``) or along
     its columns, plus ``b`` (O,), as one node with closed-form VJPs.  The
-    bias is added into the product's own output.
+    bias is added into the product's own output, and with ``relu`` so is
+    ``max(., 0)``: the node keeps the bool mask, and its VJPs read the
+    adjoint masked once, as ``relu(linear(...))`` would hand it on.
 
     The time-axis product is one (O x I) @ (I x batch*cols) GEMM over every
     column of the batch, forward and backward, instead of one GEMM per sample
     plus a per-sample weight gradient that is summed away; ``x`` is copied
-    once into that column layout, which the weight gradient needs too.
-    Without a tape it is the plain broadcast product instead, which reads
-    ``x`` in place, except when ``x`` has at most ``NARROW_COLS`` columns and
-    ``w`` more than ``NARROW_COLS`` rows.
+    once into that column layout, which the weight gradient needs too, and
+    so is the adjoint, once for all three VJPs.  Without a tape it is the
+    plain broadcast product instead, which reads ``x`` in place, except when
+    ``x`` has at most ``NARROW_COLS`` columns and ``w`` more than
+    ``NARROW_COLS`` rows.  The weight VJP runs first and lets go of the
+    input it read, before the input VJP allocates its result.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if w.ndim != 2 or b.shape != w.shape[:1]:
@@ -248,36 +290,68 @@ def linear(x, w, b, time_axis: bool) -> Tensor:
     if x.ndim < 2 or x.shape[-2 if time_axis else -1] != w.shape[1]:
         along = "rows" if time_axis else "columns"
         raise DimensionError(f"linear: weight {w.shape} cannot map the {along} of shape {x.shape}")
+    taped = x.tape is not None or w.tape is not None or b.tape is not None
+    O, I = w.shape
+    in_cols = time_axis and (taped or x.shape[-1] <= NARROW_COLS < O)
     if not time_axis:
         out = matmul(x.data, w.data.T)
         out += b.data
-        return _join(out, (
-            (x, lambda g: g @ w.data),
-            (w, lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T),
-            (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ))
-    narrow_and_tall = x.shape[-1] <= NARROW_COLS < w.shape[0]
-    if x.tape is None and w.tape is None and b.tape is None and not narrow_and_tall:
+    elif not in_cols:
         out = matmul(w.data, x.data)
         out += b.data[:, None]
-        return Tensor._wrap(out)
-    # At rank <= 3, swapaxes(0, -2) is moveaxis(-2, 0) and its inverse, at less cost.
-    O, I = w.shape
-    cols = x.data.swapaxes(0, -2).reshape(I, -1)
-    others = x.shape[:-2] + x.shape[-1:]  # a shape, so no VJP keeps ``x`` alive
+    else:
+        # At rank <= 3, swapaxes(0, -2) is moveaxis(-2, 0) and its inverse, at less cost.
+        cols = x.data.swapaxes(0, -2).reshape(I, -1)
+        others = x.shape[:-2] + x.shape[-1:]  # a shape, so no VJP keeps ``x`` alive
 
-    def batch_view(m: np.ndarray) -> np.ndarray:
-        return m.reshape(m.shape[:1] + others).swapaxes(0, -2)
+        def batch_view(m: np.ndarray) -> np.ndarray:
+            return m.reshape(m.shape[:1] + others).swapaxes(0, -2)
 
-    def as_cols(g: np.ndarray) -> np.ndarray:
-        return g.swapaxes(0, -2).reshape(O, -1)
+        out = matmul(w.data, cols)  # in column layout until the node returns
+        out += b.data[:, None]
+    mask = out > 0.0 if relu and taped else None  # the VJPs keep this, not the output
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if not taped:
+        return Tensor._wrap(batch_view(out) if in_cols else out)
+    if not time_axis:
+        xd = x.data
+        adjoint = (lambda g: g) if mask is None else _once(lambda g: _masked(g, mask))
 
-    out = batch_view(matmul(w.data, cols))
-    out += b.data[:, None]
-    return _join(out, (
-        (x, lambda g: batch_view(w.data.T @ as_cols(g))),
-        (w, lambda g: as_cols(g) @ cols.T),
-        (b, lambda g: _unbroadcast(g, (O, 1))[:, 0]),
+        def vjp_w(g):
+            nonlocal xd
+            xt, xd = np.swapaxes(xd, -1, -2), None  # the last read of the input
+            return _unbroadcast(xt @ adjoint(g), w.shape[::-1]).T
+
+        return _join(out, (
+            (w, vjp_w),
+            (x, lambda g: adjoint(g) @ w.data),
+            (b, lambda g: _unbroadcast(adjoint(g), b.shape)),
+        ))
+    def to_cols(g):
+        gc = g.swapaxes(0, -2).reshape(O, -1)
+        return gc if mask is None else _masked(gc, mask)
+
+    g_cols = _once(to_cols)
+
+    def vjp_w(g):
+        nonlocal cols
+        c, cols = cols, None  # the last read of the input's column copy
+        return g_cols(g) @ c.T
+
+    def vjp_b(g):
+        # ``_unbroadcast`` sums the batch in order, then the columns, as it
+        # does on ``relu``'s masked adjoint.  With one column, numpy would sum
+        # the column layout's batch pairwise, so that one is masked as ``relu``
+        # masks it.
+        if mask is not None:
+            g = batch_view(g_cols(g)) if others[-1] > 1 else g * batch_view(mask)
+        return _unbroadcast(g, (O, 1))[:, 0]
+
+    return _join(batch_view(out), (
+        (w, vjp_w),
+        (x, lambda g: batch_view(w.data.T @ g_cols(g))),
+        (b, vjp_b),
     ))
 
 
@@ -348,11 +422,16 @@ def standardize(a, axes, floor: float, affine=None,
     _require_finite(xn, "standardize")
 
     def vjp(g):
-        g = g if affine is None else g * scale.data
+        # From its first array on, the VJP writes into that one buffer.
+        own = affine is not None
+        if own:
+            g = g * scale.data
         if stats is None:
             gy = (g * xn).mean(axis=axes, keepdims=True) * (v > floor)
-            g = g - g.mean(axis=axes, keepdims=True) - xn * gy
-        return g / std
+            g = np.subtract(g, g.mean(axis=axes, keepdims=True), out=g if own else None)
+            g -= xn * gy
+            own = True
+        return np.divide(g, std, out=g if own else None)
 
     if affine is None:
         return _join(xn, ((a, vjp),)), m, v

@@ -1,5 +1,5 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, and the
-benchmark on every workload."""
+benchmark's self-test and every workload."""
 
 import json
 import re
@@ -52,14 +52,16 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
 
 def test_bench_smoke_job_runs_every_benchmark_workload_with_its_checks():
     # bench/run.py exits nonzero when an output check fails, so each step
-    # fails the job on a wrong result as well as on a crash.
+    # fails the job on a wrong result as well as on a crash.  The self-test
+    # runs the harness's own tests first.
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["bench-smoke"]["steps"]
     python = [step["with"]["python-version"] for step in steps
               if step.get("uses", "").startswith("actions/setup-python")]
     assert python == ["3.11"]
-    install, *runs = [step["run"] for step in steps if "run" in step]
+    install, selftest, *runs = [step["run"] for step in steps if "run" in step]
     assert install == 'python -m pip install -e ".[test]"'
+    assert selftest == "python3 -m pytest -q bench/selftest.py"
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert runs == [f"python3 bench/run.py --workload {w} --seed 1 --seconds 2 --trace 1"
                     for w in workloads]

@@ -137,6 +137,18 @@ def test_rerun_is_byte_identical(workdir):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_a_split_without_windows_is_one_warning_line(workdir, capsys):
+    # 40 rows leave the test split rows [36, 40), too few for 6 + 5 steps.
+    dt.save_csv(dt.synth_periodic(5, 40, variates=2, seed=2), workdir / "series.csv")
+    (workdir / "exp.ini").write_text("[data]\ncsv = series.csv\n[window]\nlookback = 6\n"
+                                     "horizon = 5\n[model]\nhidden = 4\nblocks = 1\n"
+                                     "[train]\nmax_epochs = 1\n")
+    assert run_cli("train", "--config", "exp.ini", "--out", "run") == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: no windows fit: rows [36, 40) cannot host lookback 6 + horizon 5\n"
+    assert out.startswith("trained ") and out.count("\n") == 1
+
+
 def test_print_config_shows_resolved_defaults(workdir, capsys):
     assert run_cli("train", "--print-config") == 0
     text = capsys.readouterr().out

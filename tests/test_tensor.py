@@ -638,3 +638,88 @@ class TestOwnedEpilogues:
         want = np.einsum("oi,...ic->...oc", w, x) + b[:, None]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert len(calls) == 1
+
+
+class TestReluEpilogue:
+    """``linear(..., relu=True)`` is ``relu(linear(...))`` in one node: the
+    same values and gradients, bit for bit, with no second activation."""
+
+    # (input shape, weight shape, time_axis): a batch and a 2-D input on each
+    # axis, one column with a batch of 33 (its bias gradient sums the batch in
+    # order), and the untaped narrow-and-tall and wide time-axis layouts.
+    CASES = [((5, 6, 3), (4, 3), False), ((6, 3), (4, 3), False),
+             ((5, 6, 3), (7, 6), True), ((6, 3), (7, 6), True), ((33, 6, 1), (7, 6), True),
+             ((4, 6, 3), (tc.NARROW_COLS + 1, 6), True),
+             ((4, 6, tc.NARROW_COLS + 1), (7, 6), True)]
+
+    @staticmethod
+    def inputs(x_shape, w_shape, seed):
+        rng = make_rng(seed)
+        return (rng.normal(size=x_shape), rng.normal(size=w_shape),
+                rng.normal(size=w_shape[:1]))
+
+    @pytest.mark.parametrize("x_shape, w_shape, time_axis", CASES)
+    def test_untaped_equals_relu_of_linear(self, x_shape, w_shape, time_axis):
+        x, w, b = self.inputs(x_shape, w_shape, 51)
+        fused = tc.linear(x, w, b, time_axis, relu=True)
+        np.testing.assert_array_equal(fused.data,
+                                      tc.relu(tc.linear(x, w, b, time_axis)).data)
+        assert fused.tape is None
+
+    @pytest.mark.parametrize("x_shape, w_shape, time_axis", CASES)
+    @pytest.mark.parametrize("consumer", ["mul", "linear", "dropout"])
+    @pytest.mark.parametrize("watched", ["xwb", "x", "wb"])
+    def test_taped_values_and_gradients_equal_relu_of_linear(self, x_shape, w_shape, time_axis,
+                                                             consumer, watched):
+        """``mul`` hands the node a read-only adjoint, ``linear`` and
+        ``dropout`` a fresh one it may mask in place."""
+        x, w, b = self.inputs(x_shape, w_shape, 52)
+        out_shape = tc.linear(x, w, b, time_axis).shape
+        probe = make_rng(53).normal(size=out_shape)
+        head = make_rng(54).normal(size=(2, out_shape[-1]))
+
+        def run(fused):
+            tape = Tape()
+            bound = [tape.leaf(a) if name in watched else a for name, a in zip("xwb", (x, w, b))]
+            h = (tc.linear(*bound, time_axis, relu=True) if fused
+                 else tc.relu(tc.linear(*bound, time_axis)))
+            if consumer == "mul":
+                y = tc.mul(h, probe)
+            elif consumer == "linear":
+                y = tc.linear(h, head, np.zeros(2), False)
+            else:
+                y = tc.dropout(h, 0.3, "train", make_rng(55))
+            loss = tc.mean(tc.mul(y, y))
+            grads = tc.backward(tape, loss)
+            return h.data, [grads[t.nid].data for t in bound if isinstance(t, Tensor)], len(tape)
+
+        fused_h, fused_grads, fused_nodes = run(True)
+        ref_h, ref_grads, ref_nodes = run(False)
+        np.testing.assert_array_equal(fused_h, ref_h)
+        assert len(fused_grads) == len(ref_grads) == len(watched)
+        for got, want in zip(fused_grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        assert fused_nodes == ref_nodes - 1
+
+    @pytest.mark.parametrize("x_shape, w_shape, time_axis", [
+        ((3, 4, 5), (5, 5), False),
+        # 2-D, so the node's column layout is a view of its adjoint.
+        ((4, 5), (4, 4), True)])
+    def test_masks_no_adjoint_another_node_reads(self, x_shape, w_shape, time_axis):
+        """``add`` hands one adjoint to both parents; the ReLU linear, made
+        after ``plain``, is reached first and must not mask ``plain``'s."""
+        x, w, b = self.inputs(x_shape, w_shape, 56)
+        plain = make_rng(57).normal(size=x_shape)
+
+        def f(ps):
+            plain_t, x_t, w_t, b_t = ps
+            h = tc.add(plain_t, tc.linear(x_t, w_t, b_t, time_axis, relu=True))
+            return tc.mean(tc.mul(h, h))
+
+        assert tc.grad_check(f, [plain, x, w, b]) < 1e-6
+
+    def test_pass_through_adjoint_is_read_only(self):
+        g = np.ones((2, 3))
+        passed = tc._unbroadcast(g, (2, 3))
+        assert passed.base is g and not passed.flags.writeable
+        assert tc._unbroadcast(g, (3,)).flags.writeable

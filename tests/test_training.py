@@ -1,6 +1,7 @@
 """Losses, optimizer, and the training loop."""
 
 import gc
+import hashlib
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -574,3 +575,74 @@ def test_eval_chunks_fit_the_widest_activation(cfg, sizes):
     chunks = list(tr.eval_chunks(windows, cfg.activation_width))
     assert [len(chunk) for _, chunk in chunks] == sizes
     assert [rows.start for rows, _ in chunks] == [sum(sizes[:k]) for k in range(len(sizes))]
+
+
+class TestPinnedArithmetic:
+    """SHA-256 digests of one training step's gradients, a 2-epoch loss
+    history and an eval forward, for a small ``tsmixer`` (rev-in, batch norm)
+    and ``tsmixer_ext`` (negative-binomial head, dropout).  They were taken
+    while every ReLU was a tape node of its own, so fusing an op into
+    another (an epilogue) must prove that it changed no bit.  They pin float64
+    rounding, GEMMs included: a numpy or BLAS build that sums a product in
+    another order changes them with no change to mixcast."""
+
+    CASES = {
+        "tsmixer": (md.ModelConfig(family="tsmixer", lookback=24, horizon=8, targets=4,
+                                   hidden=8, blocks=2, norm="batch2d", rev_in=True), "mse"),
+        "tsmixer_ext": (md.ModelConfig(family="tsmixer_ext", lookback=16, horizon=6, targets=3,
+                                       hist_covariates=2, future_covariates=2,
+                                       static_features=2, hidden=8, blocks=2, dropout=0.1,
+                                       head="negative_binomial"), "nb_nll"),
+    }
+    DIGESTS = {
+        "tsmixer": {
+            "step": "1a16741a77c656ac6ae67aa20efe6f652f0e598e2dd6ee111b1d9023d4966649",
+            "history": "9f6620f1f2bacfe4c5996fd5f50cdbea066c2bb4ee05aa9ebaaa87bece567087",
+            "eval": "5693dc1e08361991bbf25a7c1e508fb94d8ac84103ffeac1df7c5216dd1da0f9"},
+        "tsmixer_ext": {
+            "step": "35b44192c446480b2ce6b2e8fa079ddb5664b40ca82f4ddd5c5c8fe2a214fcf5",
+            "history": "d806ead4ef338eb93dd6ab05649bef44309e7f1787018045ba115f3e81fc215e",
+            "eval": "2f4d2a969bbdef44f9b5f3463f7fe55ef830d4207a825ad680d456ea59462806"},
+    }
+
+    @staticmethod
+    def digest(arrays) -> str:
+        h = hashlib.sha256()
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    @staticmethod
+    def windows(cfg: md.ModelConfig, n: int, seed: int) -> dt.WindowBatch:
+        rng = make_rng(seed)
+        return dt.WindowBatch(rng.normal(size=(n, cfg.lookback, cfg.input_channels)),
+                              rng.normal(size=(n, cfg.horizon, cfg.future_covariates)),
+                              rng.normal(size=(n, 1, cfg.static_features)),
+                              rng.poisson(3.0, size=(n, cfg.horizon, cfg.targets)).astype(float),
+                              np.arange(n))
+
+    @classmethod
+    def digests(cls, name: str) -> dict[str, str]:
+        cfg, objective = cls.CASES[name]
+        batch = cls.windows(cfg, 16, 60)
+        model = md.Forecaster(cfg, seed=61)
+        tape = tc.Tape()
+        bound = model.bind(tape)
+        loss = tr._loss_for(model, batch, "train", make_rng(62), bound)
+        grads = tc.backward(tape, loss)
+        step = cls.digest(grads[bound[k].nid].data for k in sorted(bound))
+
+        model = md.Forecaster(cfg, seed=61)
+        _, history = tr.train(model, cls.windows(cfg, 32, 63), cls.windows(cfg, 16, 64),
+                              tr.TrainConfig(learning_rate=0.01, max_epochs=2, patience=3,
+                                             batch_size=16, objective=objective, seed=65))
+        losses = cls.digest([[r.train_loss, r.val_loss] for r in history.records])
+
+        out = md.Forecaster(cfg, seed=61).forward(batch.history, batch.future, batch.static)
+        forecast = cls.digest(t.data for t in (out.point, out.mean, out.dispersion)
+                              if t is not None)
+        return {"step": step, "history": losses, "eval": forecast}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digests_are_pinned(self, name):
+        assert self.digests(name) == self.DIGESTS[name]
