@@ -376,14 +376,18 @@ def cmd_evaluate(args) -> int:
                                 cfg.horizon, axis=0).swapaxes(1, 2)
     # Score each chunk as it is forecast, so memory does not grow with the window count.
     sq_sum = abs_sum = 0.0
-    for rows, chunk in tr.eval_chunks(windows, cfg.activation_width):
-        out = model.forward(chunk.history, chunk.future, chunk.static)
-        pred = (out.point if out.point is not None else out.mean).data
-        if scaler is not None:
-            pred = scaler.invert(pred, target_cols)
-        err = pred - truth[rows]
-        sq_sum += float(np.sum(err ** 2))
-        abs_sum += float(np.sum(np.abs(err, out=err)))
+    with np.errstate(all="ignore"):  # no numpy warnings: the check below names a failure
+        for rows, chunk in tr.eval_chunks(windows, cfg.activation_width):
+            out = model.forward(chunk.history, chunk.future, chunk.static)
+            pred = (out.point if out.point is not None else out.mean).data
+            if scaler is not None:
+                pred = scaler.invert(pred, target_cols)
+            err = pred - truth[rows]
+            sq_sum += float(np.sum(err ** 2))
+            abs_sum += float(np.sum(np.abs(err, out=err)))
+    if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
+        raise NumericError(f"the forecast errors are not finite: squared sum {sq_sum!r}, "
+                           f"absolute sum {abs_sum!r}")
     mse, mae = sq_sum / truth.size, abs_sum / truth.size
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
              f"mse: {mse!r}", f"mae: {mae!r}"]
@@ -429,18 +433,20 @@ def cmd_forecast(args) -> int:
         )
     static = (frame.values[0, frame.indices_for("static")][None, None, :]
               if cfg.static_features else None)
-    out = model.forward(history, None, static)
     target_cols = frame.columns_for("target")
-    if out.point is not None:
-        pred = out.point.data[0]
-        if scaler is not None:
-            pred = scaler.invert(pred, target_cols)
-        result = dt.SeriesFrame(pred, target_cols, {c: "target" for c in target_cols})
-    else:
-        mu, alpha = out.mean.data[0], out.dispersion.data[0]
-        cols = [f"{c}_mean" for c in target_cols] + [f"{c}_dispersion" for c in target_cols]
-        result = dt.SeriesFrame(np.hstack([mu, alpha]), cols, {c: "target" for c in cols})
-    dt.save_csv(result, args.out, header_lines=(provenance(),))
+    with np.errstate(all="ignore"):  # no numpy warnings: the check below names a failure
+        out = model.forward(history, None, static)
+        if out.point is not None:
+            pred, cols = out.point.data[0], target_cols
+            if scaler is not None:
+                pred = scaler.invert(pred, target_cols)
+        else:
+            pred = np.hstack([out.mean.data[0], out.dispersion.data[0]])
+            cols = [f"{c}_mean" for c in target_cols] + [f"{c}_dispersion" for c in target_cols]
+    if not np.isfinite(pred).all():
+        raise NumericError(f"the forecast of {args.checkpoint} holds non-finite values")
+    dt.save_csv(dt.SeriesFrame(pred, cols, {c: "target" for c in cols}), args.out,
+                header_lines=(provenance(),))
     print(f"wrote {cfg.horizon} forecast rows to {args.out}")
     return 0
 

@@ -136,21 +136,22 @@ def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
     """Header and values in one pass of numpy's C reader, or None unless
     every row is well formed and finite and every cell plain.
 
-    A plain line (no quote, NUL or line break, and shorter than the csv
-    module's field limit) goes to numpy as it stands, since ``split(",")``
-    yields the fields ``csv.reader`` does.  Any other line starts a record
-    that ``csv.reader`` reads, on over the lines below while a quoted field
-    is open, and numpy gets its cells joined by commas, unless a cell holds
-    a comma or is not plain.  numpy parses each field, ASCII only, with the
-    parser ``float()`` uses, so it accepts a subset of the cells the
-    per-cell path does and gives the same values.  Every other file, and
-    every error message, is left to ``_read_cells``.
+    A plain line (no quote, NUL or line break, and no field as long as the
+    csv module's field limit) goes to numpy as it stands, since
+    ``split(",")`` yields the fields ``csv.reader`` does; only a line at
+    least that long is split to find its longest field.  Any other line
+    starts a record that ``csv.reader`` reads, on over the lines below while
+    a quoted field is open, and numpy gets its cells joined by commas,
+    unless a cell holds a comma or is not plain.  numpy parses each field,
+    ASCII only, with the parser ``float()`` uses, so it accepts a subset of
+    the cells the per-cell path does and gives the same values.  Every other
+    file, and every error message, is left to ``_read_cells``.
     """
     limit = csv.field_size_limit()
     count = 0
 
     def plain(text):
-        return len(text) < limit and not (
+        return (len(text) < limit or max(map(len, text.split(","))) < limit) and not (
             '"' in text or "\0" in text or "\r" in text or "\n" in text)
 
     def plain_lines():
@@ -440,6 +441,8 @@ class SplitSpec:
                 raise ConfigurationError(f"fractions must sum to 1, got {self.fractions}")
         else:
             for lo, hi in self.ranges:
+                if lo < 0:
+                    raise ConfigurationError(f"range ({lo}, {hi}) starts before row 0")
                 if lo > hi:
                     raise ConfigurationError(f"range ({lo}, {hi}) is reversed")
             for (a, b), (c, d) in zip(self.ranges, self.ranges[1:]):
@@ -507,8 +510,9 @@ def synth_affine_periodic(period: int, steps: int, scale: float, offset: float,
     values = np.empty((steps, variates))
     head = min(period, steps)
     values[:head] = rng.normal(size=(head, variates))
-    for t in range(period, steps):
-        values[t] = scale * values[t - period] + offset
+    with np.errstate(all="ignore"):  # no numpy warnings: the frame check names an overflow
+        for t in range(period, steps):
+            values[t] = scale * values[t - period] + offset
     return _frame_of(values)
 
 
@@ -516,13 +520,15 @@ def synth_periodic_plus_trend(period: int, steps: int, slope_limit: float,
                               variates: int = 1, seed: int = 0) -> SeriesFrame:
     """Periodic template plus a random walk with per-step increments
     clipped to [-slope_limit, slope_limit] (a slope_limit-Lipschitz trend)."""
-    if slope_limit < 0:
-        raise ParameterError(f"slope_limit must be non-negative, got {slope_limit}")
+    most = float(np.finfo(np.float64).max) / 2  # so uniform(-most, most) has a finite range
+    if not 0 <= slope_limit <= most:  # NaN fails too
+        raise ParameterError(f"slope_limit must lie in [0, {most!r}], got {slope_limit}")
     base = synth_periodic(period, steps, variates, seed=seed, kind="template").values
     rng = make_rng(seed, 1)
     drift = rng.uniform(-slope_limit, slope_limit, size=(steps - 1, variates))
-    trend = np.vstack([np.zeros((1, variates)), np.cumsum(drift, axis=0)])
-    return _frame_of(base + trend)
+    with np.errstate(all="ignore"):  # no numpy warnings: the frame check names an overflow
+        values = base + np.vstack([np.zeros((1, variates)), np.cumsum(drift, axis=0)])
+    return _frame_of(values)
 
 
 def synth_crossvariate(steps: int, lag: int, noise: float = 0.05, seed: int = 0) -> SeriesFrame:

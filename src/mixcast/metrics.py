@@ -14,6 +14,7 @@ is the mean over levels.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,12 +63,23 @@ class HierarchySpec:
     levels: list[HierarchyLevel]
 
     def validate(self, series_ids) -> None:
+        """Raise a SchemaError unless every level has a name of its own,
+        non-negative weights that sum to 1, and aggregates that each list
+        known series at most once and together cover every series.  A
+        series may sit in two aggregates of one level."""
         known = set(series_ids)
         if not self.levels:
             raise SchemaError("hierarchy has no levels")
+        repeated = [name for name, n in Counter(lv.name for lv in self.levels).items() if n > 1]
+        if repeated:
+            raise SchemaError(f"hierarchy repeats level name {repeated[0]!r}")
         for level in self.levels:
             if set(level.weights) != set(level.groups):
                 raise SchemaError(f"level {level.name!r}: weights do not match groups")
+            for agg, weight in level.weights.items():
+                if weight < 0:
+                    raise SchemaError(f"level {level.name!r}: aggregate {agg!r} has "
+                                      f"negative weight {weight!r}")
             total = sum(level.weights.values())
             if not abs(total - 1.0) <= WEIGHT_ATOL:  # a NaN weight fails too
                 raise SchemaError(f"level {level.name!r}: weights sum to {total!r}, expected 1")
@@ -81,6 +93,10 @@ class HierarchySpec:
                         f"level {level.name!r}: aggregate {agg!r} references unknown "
                         f"series {sorted(unknown)}"
                     )
+                repeated = [m for m, n in Counter(members).items() if n > 1]
+                if repeated:
+                    raise SchemaError(f"level {level.name!r}: aggregate {agg!r} lists "
+                                      f"series {repeated[0]!r} more than once")
                 covered |= set(members)
             orphans = known - covered
             if orphans:

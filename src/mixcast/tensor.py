@@ -239,9 +239,10 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` on float64 arrays, recording nothing.  Every product of
-    ``linear`` runs through this one module-global name, so a profiler that
-    wraps it (``bench/spans.py``) counts each GEMM and its flop."""
+    """``a @ b`` on float64 arrays, recording nothing.  Every forward product
+    of ``linear`` runs through this one module-global name, so a profiler that
+    wraps it (``bench/spans.py``) counts each forward GEMM and its flop; the
+    VJPs' products use ``@`` directly and are not counted."""
     return a @ b
 
 
@@ -365,17 +366,9 @@ def concat(a, b, axis: int = -1) -> Tensor:
         if d != ax and a.shape[d] != b.shape[d]:
             raise DimensionError(f"concat: shapes {a.shape} and {b.shape} disagree off axis {axis}")
     out = np.concatenate([a.data, b.data], axis=ax)
-    na = a.shape[ax]
-
-    def take(g, start, stop):
-        idx = [slice(None)] * g.ndim
-        idx[ax] = slice(start, stop)
-        return g[tuple(idx)]
-
-    return _join(out, (
-        (a, lambda g: take(g, 0, na)),
-        (b, lambda g: take(g, na, None)),
-    ))
+    lead = (slice(None),) * ax
+    ia, ib = lead + (slice(0, a.shape[ax]),), lead + (slice(a.shape[ax], None),)
+    return _join(out, ((a, lambda g: g[ia]), (b, lambda g: g[ib])))
 
 
 def expand_rows(a, n: int) -> Tensor:
@@ -410,28 +403,21 @@ def standardize(a, axes, floor: float, affine=None,
     fixed ``stats = (mean, var)``, constants the closed-form VJPs never read.
     ``affine = (scale, shift)`` is optional and must broadcast into ``a``'s shape."""
     a = _lift(a)
-    if stats is None:
-        m = a.data.mean(axis=axes, keepdims=True)
-        xn = a.data - m
-        v = (xn * xn).mean(axis=axes, keepdims=True)
-    else:
-        m, v = stats
-        xn = a.data - m
+    m = a.data.mean(axis=axes, keepdims=True) if stats is None else stats[0]
+    xn = a.data - m
+    v = (xn * xn).mean(axis=axes, keepdims=True) if stats is None else stats[1]
     std = np.sqrt(np.maximum(v, float(floor)))
     xn /= std
     _require_finite(xn, "standardize")
 
     def vjp(g):
-        # From its first array on, the VJP writes into that one buffer.
-        own = affine is not None
-        if own:
-            g = g * scale.data
+        g = g * scale.data if affine is not None else g.copy()  # the one buffer it writes
         if stats is None:
             gy = (g * xn).mean(axis=axes, keepdims=True) * (v > floor)
-            g = np.subtract(g, g.mean(axis=axes, keepdims=True), out=g if own else None)
+            g -= g.mean(axis=axes, keepdims=True)
             g -= xn * gy
-            own = True
-        return np.divide(g, std, out=g if own else None)
+        g /= std
+        return g
 
     if affine is None:
         return _join(xn, ((a, vjp),)), m, v
@@ -570,16 +556,15 @@ def grad_check(f, params: Sequence, step: float = 1e-5) -> float:
         return v
 
     worst = 0.0
-    for pi in range(len(base)):
-        flat = base[pi].reshape(-1)
+    for pi, p in enumerate(base):
+        flat = p.reshape(-1)  # a view: each probe perturbs ``base`` and restores it
         for k in range(flat.size):
             orig = flat[k]
-            work = [b if i != pi else b.copy() for i, b in enumerate(base)]
-            wflat = work[pi].reshape(-1)
-            wflat[k] = orig + step
-            up = value_at(work)
-            wflat[k] = orig - step
-            down = value_at(work)
+            flat[k] = orig + step
+            up = value_at(base)
+            flat[k] = orig - step
+            down = value_at(base)
+            flat[k] = orig
             numeric = (up - down) / (2.0 * step)
             a = analytic[pi].reshape(-1)[k]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))

@@ -328,8 +328,6 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     dropout_rng = make_rng(config.seed, STREAM_DROPOUT)
     opt = adam_init(model.params)
     history = TrainHistory()
-    best_params = {k: p.copy() for k, p in model.params.items()}
-    best_buffers = {k: b.copy() for k, b in model.buffers.items()}
     bad_epochs = 0
     slices = _batch_slices(len(train_windows), config.batch_size, model.config.norm == "batch2d")
 
@@ -347,9 +345,11 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
                 epoch_loss /= len(train_windows)
                 where = f"in the validation pass of epoch {epoch}"
                 val_loss = dataset_loss(model, val_windows)
+                if not math.isfinite(val_loss):
+                    raise NumericError("loss went non-finite")
                 history.records.append(EpochRecord(epoch, epoch_loss, val_loss))
 
-                if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:
+                if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:  # always at epoch 1
                     history.best_val_loss = val_loss
                     history.best_epoch = epoch
                     best_params = {k: p.copy() for k, p in model.params.items()}

@@ -1,11 +1,14 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, and the
 benchmark's self-test and every workload."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
 import yaml
+
+from mixcast import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,7 +34,8 @@ def heredoc(run: str) -> str:
 
 def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch():
     """The no-extras install trains one negative-binomial epoch, then runs
-    synth, train, evaluate --hierarchy and forecast; both steps run here."""
+    every subcommand: synth, train, evaluate --hierarchy, forecast, and
+    verify-theory with and without --corrupt; both steps run here."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["numpy-only"]["steps"]
     python = [step["with"]["python-version"] for step in steps
@@ -45,8 +49,11 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     assert 'objective="nb_nll"' in script and "max_epochs=1" in script
     exec(compile(script, "numpy-only epoch", "exec"), {})  # the step itself runs here
     script = heredoc(commands)
-    assert all(f'["{name}", ' in script for name in ("synth", "train", "evaluate", "forecast"))
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert all(f'["{name}", ' in script for name in subcommands)
     assert '"--hierarchy"' in script and "cli.main(argv) != 0" in script
+    assert '"--corrupt"]) != 1' in script
     exec(compile(script, "numpy-only CLI", "exec"), {})
 
 

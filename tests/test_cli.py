@@ -103,6 +103,20 @@ def test_a_negative_seed_exits_1(workdir, capsys):
         assert_one_error(capsys, message)
 
 
+@pytest.mark.parametrize("limit", ["inf", "nan", "1e308", "-1"])
+def test_synth_slope_limits_outside_the_float_range_exit_1(workdir, capsys, limit):
+    assert run_cli("synth", "--kind", "trend", "--steps", "20", "--slope-limit", limit,
+                   "--out", "s.csv") == 1
+    assert_one_error(capsys, f"slope_limit must lie in [0, 8.988465674311579e+307], "
+                             f"got {float(limit)}")
+
+
+def test_synth_affine_overflow_is_one_error_line(workdir, capsys):
+    assert run_cli("synth", "--kind", "affine", "--steps", "200", "--scale", "1e200",
+                   "--period", "2", "--out", "s.csv") == 1
+    assert_one_error(capsys, "frame contains non-finite values")
+
+
 def test_synth_crossvariate_kind(workdir):
     assert run_cli("synth", "--kind", "crossvariate", "--steps", "60", "--lag", "4",
                    "--noise", "0.0", "--seed", "1", "--out", "x.csv") == 0
@@ -198,9 +212,23 @@ def test_experiment_model_values_are_typed(workdir, capsys, line, message):
     ("train", "learning_rate = inf", "train.learning_rate must be a finite number, got 'inf'"),
     ("model", "dropout = nan", "model.dropout must be a finite number, got 'nan'"),
     ("split", "fractions = nan 0.5 0.5", "split.fractions must be a finite number, got 'nan'"),
+    ("split", "ranges = 0:100 100:200",
+     "split.ranges needs three start:stop pairs, got '0:100 100:200'"),
+    ("split", "ranges = 0:100 100:1.5e2 150:200", "split.ranges must be an integer, got '1.5e2'"),
+    ("split", "ranges = -50:100 100:150 150:200", "range (-50, 100) starts before row 0"),
 ])
 def test_experiment_values_are_typed(workdir, capsys, section, line, message):
     assert_train_rejects_line(workdir, capsys, section, line, message)
+
+
+def test_split_ranges_are_three_row_ranges(workdir, capsys):
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text(LINEAR_INI.format(out="run1")
+                                     + "[split]\nranges = 0:140 140:170 170:200\n")
+    exp = cli.load_experiment(workdir / "exp.ini")
+    assert exp.split == dt.SplitSpec(ranges=((0, 140), (140, 170), (170, 200)))
+    assert run_cli("train", "--config", "exp.ini") == 0
+    assert capsys.readouterr().err == ""
 
 
 def assert_train_rejects_line(workdir, capsys, section, line, message):
@@ -270,6 +298,55 @@ def test_divergent_training_exits_2_and_logs(workdir, capsys):
         err = capsys.readouterr().err
         assert re.fullmatch(r"numeric failure: .*non-finite.* at epoch \d+, batch \d+\n", err), err
         assert err.removeprefix("numeric failure: ") in (workdir / family / "error.log").read_text()
+
+
+NUMERIC_INI = """\
+[run]
+out = {out}
+[data]
+csv = series.csv
+[window]
+lookback = 16
+horizon = 4
+[model]
+family = linear
+[train]
+max_epochs = 1
+"""
+NUMERIC_SERIES = ("synth", "--kind", "periodic", "--steps", "200", "--variates", "2",
+                  "--out", "series.csv")
+
+
+def test_a_non_finite_validation_loss_exits_2(workdir, capsys):
+    # One batch per epoch, so the training loss is finite and the step
+    # that follows it sends the validation loss to inf.
+    assert run_cli(*NUMERIC_SERIES) == 0
+    (workdir / "exp.ini").write_text(NUMERIC_INI.format(out="run")
+                                     + "learning_rate = 1e200\nbatch_size = 1000\n")
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini") == 2
+    assert capsys.readouterr() == (
+        "", "numeric failure: loss went non-finite in the validation pass of epoch 1\n")
+    assert sorted(p.name for p in (workdir / "run").iterdir()) == ["error.log"]
+
+
+@pytest.mark.parametrize("command, scale, message", [
+    ("evaluate", 1e306,
+     "the forecast errors are not finite: squared sum inf, absolute sum inf"),
+    ("forecast", 1e308, "the forecast of ckpt holds non-finite values"),
+])
+def test_a_non_finite_forecast_exits_2(workdir, capsys, command, scale, message):
+    assert run_cli(*NUMERIC_SERIES) == 0
+    (workdir / "exp.ini").write_text(NUMERIC_INI.format(out="ckpt"))
+    assert run_cli("train", "--config", "exp.ini") == 0
+    blob = load_params(workdir / "ckpt" / "params.bin")
+    blob["proj.weight"] = blob["proj.weight"] * scale
+    save_params(workdir / "ckpt" / "params.bin", blob)
+    capsys.readouterr()
+    argv = [command, "--checkpoint", "ckpt", "--csv", "series.csv"]
+    assert run_cli(*argv, *(["--out", "fc.csv"] if command == "forecast" else [])) == 2
+    assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
+    assert not (workdir / "fc.csv").exists()
 
 
 TSMIXER_INI = """\
@@ -536,6 +613,10 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     "hierarchy_weight_nan": (
         "h.json", b'{"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]}, '
                   b'"weights": {"all": NaN}}]}', EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_repeated_member": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y0", "y1"]},
+                                          "weights": {"all": 1.0}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
     "checkpoint_no_params": ("ckpt/params.bin", None, EVALUATE),
     "config_no_csv": ("exp.ini", b"[run]\nseed = 1\n", TRAIN),
     "csv_cell_too_large": ("big.csv", b"y0,y1\n1," + b"2" * 200_000 + b"\n",
@@ -565,6 +646,8 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     ("hierarchy_not_utf8", "h.json is not UTF-8 text"),
     ("hierarchy_weight_not_number", "hierarchy weight is not a number"),
     ("hierarchy_weight_nan", "level 'total': weights sum to nan, expected 1"),
+    ("hierarchy_repeated_member",
+     "level 'total': aggregate 'all' lists series 'y0' more than once"),
     ("checkpoint_no_params", "params.bin: No such file or directory"),
     ("config_no_csv", "data.csv must point at a training CSV"),
     ("csv_cell_too_large", "big.csv: line 2: field larger than field limit (131072)"),

@@ -196,6 +196,26 @@ class TestCsvParity:
         assert frame.columns == ["a", "b"]
         assert frame.values.tobytes() == expected.tobytes()
 
+    def test_a_line_past_the_field_limit_with_short_cells_is_read_in_the_one_pass(
+            self, tmp_path, monkeypatch):
+        # The csv module's limit is per field: a wide file's lines pass it.
+        limit = csv.field_size_limit()
+        names = [f"s{j:06d}" for j in range(limit // 8)]  # 8 characters each, comma included
+        assert len(",".join(names)) == limit - 1
+        names[-1] += "x"
+        values = make_rng(31).normal(size=(3, len(names)))
+        path = write(tmp_path, "\n".join([",".join(names)] + [",".join(map(repr, row))
+                                                             for row in values.tolist()]))
+        assert len(path.read_text().splitlines()[0]) == limit
+
+        def rewound(path, fh):
+            raise AssertionError("load_csv read the file a second time")
+
+        monkeypatch.setattr(dt, "_read_cells", rewound)
+        frame = dt.load_csv(path)
+        assert frame.columns == names
+        assert frame.values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("text", [
         "a,b\n1.0,\n",                      # empty cell
         "a,b\n1.0,  \n",                    # blank cell

@@ -154,6 +154,34 @@ class TestWrmsse:
         with pytest.raises(errors.SchemaError, match="ghost"):
             spec.validate(["s1", "s2", "s3"])
 
+    @pytest.mark.parametrize("defect, message", [
+        ("repeated_level", "hierarchy repeats level name 'total'"),
+        ("repeated_member", "level 'total': aggregate 'all' lists series 's1' more than once"),
+        ("negative_weight", "level 'series': aggregate 's3' has negative weight -0.5"),
+    ])
+    def test_a_spec_that_would_score_a_series_wrongly_is_named(self, defect, message):
+        # Each was scored before: a repeated level replaced the first, a
+        # repeated member was summed twice, and the weights still sum to 1.
+        _, _, _, spec = toy_problem()
+        if defect == "repeated_level":
+            spec.levels.insert(1, mt.HierarchyLevel("total", {"all": ["s1", "s2", "s3"]},
+                                                    {"all": 1.0}))
+        elif defect == "repeated_member":
+            spec.levels[0].groups["all"].insert(1, "s1")
+        else:
+            spec.levels[1].weights.update(s1=1.0, s2=0.5, s3=-0.5)
+        with pytest.raises(errors.SchemaError, match=f"^{message}$"):
+            spec.validate(["s1", "s2", "s3"])
+
+    def test_a_series_may_sit_in_two_aggregates_of_one_level(self):
+        forecasts, actuals, histories, spec = toy_problem()
+        spec.levels[0] = mt.HierarchyLevel("pairs", {"a": ["s1", "s2"], "b": ["s2", "s3"]},
+                                           {"a": 0.5, "b": 0.5})
+        _, per_level = mt.wrmsse(forecasts, actuals, histories, spec)
+        rows = [np.array([d["s1"] + d["s2"], d["s2"] + d["s3"]])
+                for d in (forecasts, actuals, histories)]
+        assert per_level["pairs"] == 0.5 * mt.rmsse(*rows)[0] + 0.5 * mt.rmsse(*rows)[1]
+
 
 class TestWeightsAndLoading:
     def test_load_hierarchy_roundtrip(self, tmp_path):

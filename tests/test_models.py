@@ -324,6 +324,27 @@ class TestRevIn:
         moved = model.forward(x + shift).point.data
         np.testing.assert_allclose(moved, base + shift, atol=1e-9)
 
+    @pytest.mark.parametrize("future, static", [(0, 0), (1, 2)],
+                             ids=["historical", "historical_future_static"])
+    def test_ext_with_historical_covariates(self, future, static):
+        # rev-in normalizes the targets alone and joins the covariates to them.
+        cfg = md.ModelConfig(family="tsmixer_ext", lookback=5, horizon=3, targets=2,
+                             hist_covariates=2, future_covariates=future,
+                             static_features=static, hidden=4, blocks=1, norm="layer",
+                             rev_in=True)
+        assert TestGradChecks().check_family(cfg, 25, with_future=bool(future),
+                                             with_static=bool(static)) < 1e-6
+        rng = make_rng(26)
+        x = rng.normal(size=(4, 5, 4))
+        fut = rng.normal(size=(4, 3, future)) if future else None
+        stat = rng.normal(size=(4, 1, static)) if static else None
+        model = md.Forecaster(cfg, seed=25)
+        base = model.forward(x, fut, stat).point.data
+        moved = x.copy()
+        moved[:, :, :2] = 3.0 * moved[:, :, :2] + [5.0, -11.0]
+        got = model.forward(moved, fut, stat).point.data
+        np.testing.assert_allclose(got, 3.0 * base + [5.0, -11.0], rtol=0, atol=1e-12)
+
 
 class TestGradChecks:
     def check_family(self, cfg, seed, with_future=False, with_static=False):
