@@ -344,6 +344,10 @@ def cmd_train(args) -> int:
     # A batch holds at most one window per row of the frame.
     _check_array_sizes(config, min(exp.train.batch_size, frame.n_steps))
     train_w, val_w, _ = dt.split_windows(frame, exp.split, exp.window)
+    for name, windows, (lo, hi) in zip(("training", "validation"), (train_w, val_w), bounds):
+        if len(windows) == 0:
+            raise DataError(f"{exp.csv}: the {name} split, rows [{lo}, {hi}), cannot host "
+                            f"lookback {exp.window.lookback} + horizon {exp.window.horizon}")
     model = md.Forecaster(config, seed=exp.seed)
     _, history = tr.train(model, train_w, val_w, exp.train)
 

@@ -19,14 +19,18 @@ Indexing a batch with an index array makes the only full copy.
 Splits are chronological.  Windowing a split lets validation and test
 windows reach back across the partition boundary for lookback context —
 targets never cross a boundary, so no evaluated value leaks forward.
-All scaling statistics come from training rows only.
+A span too short for one window gives an empty batch and no warning: the
+caller decides whether that is an error.  All scaling statistics come from
+training rows only.
 """
 
 from __future__ import annotations
 
+import array
 import configparser
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -114,9 +118,10 @@ def load_csv(path, schema: dict[str, str] | None = None) -> SeriesFrame:
     """Read a numeric CSV (header row, '#' comment lines) into a frame.
 
     ``schema`` maps column names to roles; omitted columns default to
-    ``target``.  Ragged rows, unparseable or non-finite cells, and schema
-    columns missing from the header are rejected with the offending
-    location named.
+    ``target``.  Ragged rows, unparseable or non-finite cells, a repeated
+    column name, and schema columns missing from the header are rejected
+    with the offending location named; of several bad lines, the first in
+    the file is named.
     """
     with reading(path, DataError), open(path, newline="", encoding="utf-8") as fh:
         parsed = _read_plain(fh)
@@ -191,67 +196,44 @@ def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
 
 
 def _read_cells(path, fh) -> tuple[list[str], np.ndarray]:
-    """Header and values through ``csv.reader``, cell by cell where needed,
-    with a DataError naming the first bad line or cell."""
+    """Header and values through ``csv.reader``, each cell parsed once, with
+    a DataError naming the first bad line in file order."""
     header: list[str] | None = None
-    rows: list[list[str]] = []
-    line_nums: list[int] = []
+    cells = array.array("d")  # 8 bytes a value, not a Python float each
     reader = csv.reader(fh)
     try:
         for row in reader:
             if not row or (row[0].lstrip().startswith("#")):
                 continue
+            line = reader.line_num
             if header is None:
                 header = [c.strip() for c in row]
+                if len(set(header)) < len(header):
+                    repeated = next(col for i, col in enumerate(header) if col in header[:i])
+                    raise DataError(f"{path}: duplicate column name {repeated!r}")
                 continue
             if len(row) != len(header):
-                _parse_cells(path, header, rows, line_nums)  # a bad cell above comes first
-                raise DataError(f"{path}: line {reader.line_num}: "
-                                f"expected {len(header)} fields, got {len(row)}")
-            rows.append(row)
-            line_nums.append(reader.line_num)
+                raise DataError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+            for col, cell in zip(header, row):
+                text = cell.strip()  # float() alone keeps the separators U+001C to U+001F
+                if not text:
+                    raise DataError(f"{path}: line {line}: column {col!r} is empty")
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line}: column {col!r} has non-numeric value {text!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: line {line}: column {col!r} is not finite ({text})")
+                cells.append(value)
     except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: no header row found")
-    if len(set(header)) < len(header):
-        repeated = next(col for i, col in enumerate(header) if col in header[:i])
-        raise DataError(f"{path}: duplicate column name {repeated!r}")
-    if not rows:
+    if not cells:
         raise DataError(f"{path}: no data rows found")
-    # numpy converts str cells with Python's float(), whitespace included,
-    # so one bulk conversion accepts exactly the cells the per-cell parse
-    # does; that parse only runs to name the first bad cell.
-    try:
-        values = np.array(rows, dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is None or not np.all(np.isfinite(values)):
-        values = _parse_cells(path, header, rows, line_nums)
-    return header, values
-
-
-def _parse_cells(path, header: list[str], rows: list[list[str]],
-                 line_nums: list[int]) -> np.ndarray:
-    """Cell-by-cell parse that raises a DataError naming the first bad cell."""
-    parsed = []
-    for line, row in zip(line_nums, rows):
-        out = []
-        for col, cell in zip(header, row):
-            text = cell.strip()
-            if not text:
-                raise DataError(f"{path}: line {line}: column {col!r} is empty")
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {line}: column {col!r} has non-numeric value {text!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise DataError(f"{path}: line {line}: column {col!r} is not finite ({text})")
-            out.append(value)
-        parsed.append(out)
-    return np.array(parsed, dtype=np.float64)
+    return header, np.frombuffer(cells, dtype=np.float64).reshape(-1, len(header))
 
 
 def save_csv(frame: SeriesFrame, path, header_lines: tuple[str, ...] = ()) -> None:
@@ -398,10 +380,6 @@ def _windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> 
     first = max(lo - L, 0)
     starts = _freeze(np.arange(first, hi - L - T + 1, stride, dtype=np.int64))
     n = starts.size
-    if n == 0:
-        warnings.warn(
-            f"no windows fit: rows [{lo}, {hi}) cannot host lookback {L} + horizon {T}"
-        )
     rows = frame.values[first : first + (n - 1) * stride + L + T]  # the rows windows touch
     static_row = _freeze(rows[:1, stat_idx] if n else np.zeros((1, len(stat_idx))))
     return WindowBatch(
@@ -417,7 +395,8 @@ def make_windows(frame: SeriesFrame, spec: WindowSpec) -> WindowBatch:
     """Slide a lookback+horizon window over the whole frame.
 
     Yields floor((steps - lookback - horizon) / stride) + 1 windows; a
-    frame too short for a single window gives an empty batch and a warning.
+    frame too short for a single window gives an empty batch, and the caller
+    decides whether that is an error.
     """
     spec.validate()
     return _windows_between(frame, spec, 0, frame.n_steps)

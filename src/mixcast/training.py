@@ -315,6 +315,8 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     Aborts with a NumericError naming the epoch and batch if a training step
     fails numerically (its loss goes non-finite, or a forward or backward
     op raises), or naming the epoch if its validation pass does.
+    A model with batch2d norms and a batch of one window is refused before
+    the first step.
     """
     config.validate()
     if len(train_windows) == 0 or len(val_windows) == 0:
@@ -330,6 +332,11 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     history = TrainHistory()
     bad_epochs = 0
     slices = _batch_slices(len(train_windows), config.batch_size, model.config.norm == "batch2d")
+    if model.buffers and min(sl.stop - sl.start for sl in slices) < 2:  # batch2d norms
+        raise ConfigurationError(
+            f"batch2d norms need training batches of >= 2 windows, but batch_size = "
+            f"{config.batch_size} over {len(train_windows)} training windows leaves a batch "
+            "of 1; raise batch_size or set norm = layer")
 
     where = ""  # the step or validation pass running, named by a NumericError
     try:

@@ -151,16 +151,57 @@ def test_rerun_is_byte_identical(workdir):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_a_split_without_windows_is_one_warning_line(workdir, capsys):
-    # 40 rows leave the test split rows [36, 40), too few for 6 + 5 steps.
+def test_a_test_split_without_windows_prints_nothing(workdir, capsys):
+    # 40 rows leave the test split rows [36, 40), too few for 6 + 5 steps;
+    # train does not use that split.
     dt.save_csv(dt.synth_periodic(5, 40, variates=2, seed=2), workdir / "series.csv")
     (workdir / "exp.ini").write_text("[data]\ncsv = series.csv\n[window]\nlookback = 6\n"
                                      "horizon = 5\n[model]\nhidden = 4\nblocks = 1\n"
                                      "[train]\nmax_epochs = 1\n")
     assert run_cli("train", "--config", "exp.ini", "--out", "run") == 0
     out, err = capsys.readouterr()
-    assert err == "warning: no windows fit: rows [36, 40) cannot host lookback 6 + horizon 5\n"
+    assert err == ""
     assert out.startswith("trained ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("settings, message", [
+    ("[window]\nlookback = 300\nhorizon = 4\n",
+     "series.csv: the training split, rows [0, 140), cannot host lookback 300 + horizon 4"),
+    ("[window]\nlookback = 16\nhorizon = 4\n[split]\nranges = 0:150 150:153 153:200\n",
+     "series.csv: the validation split, rows [150, 153), cannot host lookback 16 + horizon 4"),
+], ids=["training", "validation"])
+def test_an_empty_training_or_validation_split_is_one_error_line(workdir, capsys, settings,
+                                                                 message):
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text("[data]\ncsv = series.csv\n" + settings)
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini", "--out", "run") == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_evaluate_on_a_csv_too_short_for_a_window_is_one_error_line(workdir, capsys):
+    ckpt = broken_checkpoint(workdir, "none")  # lookback 14, horizon 7
+    write_series(workdir / "short.csv", steps=20)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "short.csv") == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: short.csv: needs at least 21 rows to evaluate\n")
+
+
+@pytest.mark.parametrize("stride, batch_size, windows", [(1, 1, 105), (500, 32, 1)])
+def test_a_batch2d_batch_of_one_window_is_refused_up_front(workdir, capsys, stride, batch_size,
+                                                           windows):
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text(
+        f"[data]\ncsv = series.csv\n[window]\nlookback = 32\nhorizon = 4\nstride = {stride}\n"
+        f"[model]\nnorm = batch2d\n[train]\nbatch_size = {batch_size}\n")
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini", "--out", "run") == 1
+    assert capsys.readouterr().err == (
+        f"error: batch2d norms need training batches of >= 2 windows, but batch_size = "
+        f"{batch_size} over {windows} training windows leaves a batch of 1; "
+        "raise batch_size or set norm = layer\n")
 
 
 def test_print_config_shows_resolved_defaults(workdir, capsys):

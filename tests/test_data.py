@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,8 +109,10 @@ class TestLoadCsv:
 
 
 def per_cell_values(path):
-    """The cell-by-cell parse load_csv used before its bulk conversion,
-    kept as the oracle for values and for DataError text."""
+    """The cell-by-cell parse of the first load_csv, kept as the oracle for
+    values and for DataError text.  Like load_csv it names the first bad
+    line in the file, but it lets a repeated column name pass and a field
+    over the csv module's limit raise csv.Error."""
     header, rows = None, []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -155,7 +158,7 @@ def outcome(fn, path):
 
 class TestCsvParity:
     @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "+.5", "\u0661\u0662", "-0", "1e-400",
-                                      "\t7\t", "1E3", "-2.5e-3", "4."])
+                                      "\t7\t", "1E3", "-2.5e-3", "4.", "\x1c7\x1f"])
     def test_accepted_edge_cells(self, tmp_path, cell):
         path = write(tmp_path, f"a,b\n0.25,{cell}\n{cell},-1\n")
         assert outcome(lambda p: dt.load_csv(p).values, path) == outcome(per_cell_values, path)
@@ -236,6 +239,17 @@ class TestCsvParity:
         expected = outcome(per_cell_values, path)
         assert expected[0] == "error"
         assert outcome(lambda p: dt.load_csv(p).values, path) == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,a\n1\n", "duplicate column name 'a'"),
+        (f"a,b\n1,x\n2,{'1' * (csv.field_size_limit() + 1)}\n",
+         "line 2: column 'b' has non-numeric value 'x'"),
+    ], ids=["repeated_name_then_ragged_row", "bad_cell_then_field_over_the_limit"])
+    def test_the_first_bad_line_is_named(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(errors.DataError) as info:
+            dt.load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestStandardize:
@@ -318,13 +332,10 @@ class TestWindows:
             stride = int(rng.integers(1, 5))
             frame = self.frame(steps)
             spec = dt.WindowSpec(L, T, stride)
-            if steps < L + T:
-                with pytest.warns(UserWarning):
-                    batch = dt.make_windows(frame, spec)
-                assert len(batch) == 0
-            else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty batch is not a warning
                 batch = dt.make_windows(frame, spec)
-                assert len(batch) == (steps - L - T) // stride + 1
+            assert len(batch) == (0 if steps < L + T else (steps - L - T) // stride + 1)
 
     def test_window_contents_align(self):
         frame = self.frame(30)
@@ -415,7 +426,8 @@ class TestWindowParity:
     def test_empty_batch_shapes(self, steps):
         frame = interleaved_frame(steps)
         spec = dt.WindowSpec(9, 5, 3)
-        with pytest.warns(UserWarning, match="no windows"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty batch is not a warning
             batch = dt.make_windows(frame, spec)
         assert_batch_matches(batch, stacked_windows(frame, spec, 0, steps))
         assert [getattr(batch, f).shape for f in FIELDS[:4]] == \
@@ -468,10 +480,11 @@ class TestSplit:
         k = int(np.argmin(val_w.starts))
         np.testing.assert_array_equal(val_w.history[k][:, 0], frame.values[58:70, 0])
 
-    def test_too_short_partition_warns_empty(self):
+    def test_too_short_partition_is_empty_without_a_warning(self):
         frame = TestWindows().frame(40)
         spec = dt.SplitSpec(ranges=((0, 36), (36, 38), (38, 40)))
-        with pytest.warns(UserWarning, match="no windows"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty batch is not a warning
             _, val_w, _ = dt.split_windows(frame, spec, dt.WindowSpec(30, 4))
         assert len(val_w) == 0
 

@@ -129,12 +129,8 @@ def test_experiment_integer_mutations_exit_0_or_1(experiment, data):
         code = cli.main(["train", "--config", str(experiment / "exp.ini"),
                          "--out", str(experiment / "run")])
     lines = (out.getvalue() + err.getvalue()).splitlines()
-    # A split too short for one window adds one warning line on stderr.
-    warned = [line for line in err.getvalue().splitlines()
-              if line.startswith("warning: no windows fit: ")]
-    result = [line for line in lines if line not in warned]
-    assert code in (0, 1) and len(result) == 1, (key, value, code, lines)
-    assert result[0].startswith("trained " if code == 0 else "error: "), lines
+    assert code in (0, 1) and len(lines) == 1, (key, value, code, lines)
+    assert lines[0].startswith("trained " if code == 0 else "error: "), lines
 
 
 def payload_top_bytes(path):
@@ -411,7 +407,7 @@ def test_windows_and_splits_match_the_stacked_oracle(data):
     L, T, stride = spec.lookback, spec.horizon, spec.stride
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "no windows fit"
+        warnings.simplefilter("error")  # an empty batch is not a warning
         whole = dt.make_windows(frame, spec)
         parts = dt.split_windows(frame, split, spec)
     assert len(whole) == window_count(0, steps - L - T, stride)
