@@ -49,11 +49,17 @@ def mse_loss(pred, target) -> Tensor:
     """Mean squared error over the broadcast operands, as one node.  Its VJP
     2 (g / n) d is bitwise the composite mean(d * d)'s: (g / n) d + (g / n) d."""
     pred, target = _lift(pred), _lift(target)
-    tc._check_broadcast(pred, target, "mse_loss")
-    d = pred.data - target.data
+    shape = tc._check_broadcast(pred, target, "mse_loss")
+    d = np.subtract(pred.data, target.data, out=tc._empty(shape, pred.data, target.data))
     sp, st = pred.shape, target.shape
-    return tc._join(np.asarray((d * d).mean()), (
-        (pred, lambda g: tc._unbroadcast(2.0 * ((g / d.size) * d), sp)),
+
+    def vjp_pred(g):
+        out = np.multiply(g / d.size, d, out=tc._empty(shape, d))
+        out *= 2.0
+        return tc._unbroadcast(out, sp)
+
+    return tc._join(np.asarray(np.multiply(d, d, out=tc._empty(shape, d)).mean()), (
+        (pred, vjp_pred),
         (target, lambda g: tc._unbroadcast(-2.0 * ((g / d.size) * d), st)),
     ))
 
@@ -193,7 +199,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g, m, v = grads[name], state.m[name], state.v[name]
         # Two scratch arrays per parameter, each op in the order of
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) with m and v updated first.
-        a = np.multiply(1.0 - BETA1, g)
+        a = np.multiply(1.0 - BETA1, g, out=tc._empty(g.shape, g))
         m *= BETA1
         m += a
         np.multiply(1.0 - BETA2, g, out=a)
@@ -202,7 +208,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += a
         np.divide(m, bc1, out=a)
         np.multiply(lr, a, out=a)
-        b = np.divide(v, bc2)
+        b = np.divide(v, bc2, out=tc._empty(v.shape, v))
         np.sqrt(b, out=b)
         b += ADAM_EPS
         a /= b
@@ -273,11 +279,16 @@ def eval_chunks(windows: WindowBatch, width: int):
     cover ``windows``, each small enough for one eval-mode forward pass: its
     widest activation, lookback x max(history channels, ``width``) per window
     (``ModelConfig.activation_width``), fits in ``EVAL_BYTES``."""
-    lookback, channels = windows.history.shape[1:]
-    step = min(EVAL_CHUNK, max(1, EVAL_BYTES // (8 * lookback * max(channels, width))))
+    step = _eval_rows(windows, width)
     for lo in range(0, len(windows), step):
         rows = slice(lo, lo + step)
         yield rows, windows.subset(rows)
+
+
+def _eval_rows(windows: WindowBatch, width: int) -> int:
+    """Windows per chunk of ``eval_chunks``."""
+    lookback, channels = windows.history.shape[1:]
+    return min(EVAL_CHUNK, max(1, EVAL_BYTES // (8 * lookback * max(channels, width))))
 
 
 def _batch_slices(n: int, batch_size: int, avoid_singleton: bool) -> list[slice]:
@@ -290,13 +301,16 @@ def _batch_slices(n: int, batch_size: int, avoid_singleton: bool) -> list[slice]
 
 
 def _step(model: Forecaster, batch: WindowBatch, config: TrainConfig, rng,
-          opt: AdamState) -> float:
+          opt: AdamState, ws: tc.Workspace) -> float:
     """One Adam step on ``batch``; returns its loss.  The tape, its leaves and
     the gradients are locals here, so they are freed when the step returns,
-    before the next step's forward or the validation pass."""
+    before the next step's forward or the validation pass.  The workspace
+    ``ws`` grows during the forward only."""
     tape = Tape()
     bound = model.bind(tape)
+    ws.grow = True
     loss = _loss_for(model, batch, "train", rng, bound)
+    ws.grow = False
     value = loss.item()
     if not np.isfinite(value):
         raise NumericError("training loss went non-finite")
@@ -331,6 +345,7 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     opt = adam_init(model.params)
     history = TrainHistory()
     bad_epochs = 0
+    width = model.config.activation_width
     slices = _batch_slices(len(train_windows), config.batch_size, model.config.norm == "batch2d")
     if model.buffers and min(sl.stop - sl.start for sl in slices) < 2:  # batch2d norms
         raise ConfigurationError(
@@ -338,9 +353,14 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
             f"{config.batch_size} over {len(train_windows)} training windows leaves a batch "
             "of 1; raise batch_size or set norm = layer")
 
+    # The best epoch's parameters and buffers, copied into these arrays.
+    best_params = {k: np.empty_like(p) for k, p in model.params.items()}
+    best_buffers = {k: np.empty_like(b) for k, b in model.buffers.items()}
     where = ""  # the step or validation pass running, named by a NumericError
     try:
-        with np.errstate(all="ignore"):  # no numpy warnings: the checks below name a failure
+        # No numpy warnings: the checks below name a failure.  The step's
+        # full-size arrays come from the workspace, which ends with the loop.
+        with np.errstate(all="ignore"), tc.workspace() as ws:
             for epoch in range(1, config.max_epochs + 1):
                 order = shuffle_rng.permutation(len(train_windows))
                 epoch_loss = 0.0
@@ -348,9 +368,11 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
                     where = f"at epoch {epoch}, batch {bi}"
                     rows = order[sl]
                     epoch_loss += _step(model, train_windows.subset(rows), config,
-                                        dropout_rng, opt) * len(rows)
+                                        dropout_rng, opt, ws) * len(rows)
                 epoch_loss /= len(train_windows)
                 where = f"in the validation pass of epoch {epoch}"
+                if min(_eval_rows(val_windows, width), len(val_windows)) > config.batch_size:
+                    ws.bufs.clear()  # too small for chunks larger than the batches
                 val_loss = dataset_loss(model, val_windows)
                 if not math.isfinite(val_loss):
                     raise NumericError("loss went non-finite")
@@ -359,8 +381,10 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
                 if val_loss < history.best_val_loss - IMPROVEMENT_ATOL:  # always at epoch 1
                     history.best_val_loss = val_loss
                     history.best_epoch = epoch
-                    best_params = {k: p.copy() for k, p in model.params.items()}
-                    best_buffers = {k: b.copy() for k, b in model.buffers.items()}
+                    for k, p in model.params.items():
+                        np.copyto(best_params[k], p)
+                    for k, b in model.buffers.items():
+                        np.copyto(best_buffers[k], b)
                     bad_epochs = 0
                 else:
                     bad_epochs += 1

@@ -633,11 +633,59 @@ class TestOwnedEpilogues:
         x, w, b = rng.normal(size=shape), rng.normal(size=(rows, 16)), rng.normal(size=rows)
         calls = []
         matmul = tc.matmul
-        monkeypatch.setattr(tc, "matmul", lambda a, c: calls.append(1) or matmul(a, c))
+        monkeypatch.setattr(tc, "matmul", lambda a, c, **kw: calls.append(1) or matmul(a, c, **kw))
         got = tc.linear(x, w, b, True).data
         want = np.einsum("oi,...ic->...oc", w, x) + b[:, None]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert len(calls) == 1
+
+
+class TestWorkspaceLayout:
+    """Inside a workspace an op's result is laid out as numpy lays it out, so
+    a reduction over it sums in the same order and every bit stays."""
+
+    @staticmethod
+    def stored(shape, order, step=1):
+        """An array of ``shape`` stored with its axes in ``order``, slowest
+        first; ``step`` > 1 makes it a strided view along its fastest axis."""
+        full = [shape[ax] for ax in order]
+        full[-1] *= step
+        return np.zeros(full)[..., ::step].transpose(np.argsort(order))
+
+    @staticmethod
+    def assert_same_layout(got: np.ndarray, want: np.ndarray):
+        assert got.shape == want.shape
+        assert all(g == w for g, w, n in zip(got.strides, want.strides, got.shape) if n > 1)
+
+    def test_elementwise_results_follow_numpy(self, monkeypatch):
+        monkeypatch.setattr(tc, "WORKSPACE_MIN", 1)
+        rng = make_rng(80)
+        with tc.workspace() as ws:
+            ws.grow = True
+            for _ in range(400):
+                shape = tuple(int(n) for n in rng.integers(1, 5, size=rng.integers(1, 4)))
+                a = self.stored(shape, list(rng.permutation(len(shape))), int(rng.integers(1, 3)))
+                kept = int(rng.integers(0, len(shape)))  # b broadcasts over leading axes
+                b_shape = tuple(1 if rng.random() < 0.3 else n for n in shape[kept:])
+                b = self.stored(b_shape, list(rng.permutation(len(b_shape))))
+                self.assert_same_layout(tc._empty(shape, a, b), a + b)
+                self.assert_same_layout(tc._empty(shape, a), a * 2.0)
+
+    def test_concat_follows_numpy(self, monkeypatch):
+        monkeypatch.setattr(tc, "WORKSPACE_MIN", 1)
+        rng = make_rng(81)
+        with tc.workspace() as ws:
+            ws.grow = True
+            for _ in range(200):
+                shape = [int(n) for n in rng.integers(1, 4, size=3)]
+                ops = []
+                for _ in range(2):
+                    shape[-1] = int(rng.integers(1, 4))
+                    ops.append(self.stored(tuple(shape), list(rng.permutation(3)),
+                                           int(rng.integers(1, 3))) + rng.normal())
+                got, want = tc.concat(*ops).data, np.concatenate(ops, axis=-1)
+                np.testing.assert_array_equal(got, want)
+                self.assert_same_layout(got, want)
 
 
 class TestReluEpilogue:

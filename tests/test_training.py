@@ -547,6 +547,94 @@ class TestStepLifetime:
         assert seen == [0, 0, 0]
 
 
+class TestWorkspace:
+    """``train`` takes each step's full-size arrays from a workspace that
+    lives for exactly its call.  These models' float64 activations are 64 KiB
+    or more, so they go through it, while every other array (bool masks,
+    dropout's draws, parameters and their scratch) stays under 64 KiB."""
+
+    CFG = md.ModelConfig(family="tsmixer", lookback=48, horizon=32, targets=16, hidden=32,
+                         blocks=1, norm="layer", dropout=0.1, rev_in=True)
+
+    @staticmethod
+    def windows(cfg: md.ModelConfig, n: int, seed: int) -> dt.WindowBatch:
+        rng = make_rng(seed)
+        return dt.WindowBatch(rng.normal(size=(n, cfg.lookback, cfg.targets)),
+                              np.zeros((n, cfg.horizon, 0)), np.zeros((n, 1, 0)),
+                              rng.normal(size=(n, cfg.horizon, cfg.targets)), np.arange(n))
+
+    def test_a_kept_forecast_and_its_view_are_never_overwritten(self, monkeypatch):
+        model = md.Forecaster(self.CFG, seed=70)
+        kept, mse_loss = [], tr.mse_loss
+
+        def keeping_mse_loss(pred, target):
+            if not kept:  # the first step's forecast, from a workspace buffer
+                assert any(pred.data.base is buf for buf in tc._WS.bufs)
+                view = pred.data[:, ::2]
+                kept.append((pred, view, pred.data.tobytes(), view.tobytes()))
+            return mse_loss(pred, target)
+
+        monkeypatch.setattr(tr, "mse_loss", keeping_mse_loss)
+        tr.train(model, self.windows(self.CFG, 48, 71), self.windows(self.CFG, 40, 72),
+                 tr.TrainConfig(learning_rate=0.01, max_epochs=2, patience=3, batch_size=16,
+                                seed=73))
+        pred, view, pred_bytes, view_bytes = kept[0]
+        assert pred.data.tobytes() == pred_bytes and view.tobytes() == view_bytes
+
+    def test_the_second_of_two_identical_steps_allocates_no_full_size_array(self, monkeypatch):
+        """The second step adds no buffer to the workspace, and no numpy array
+        of 64 KiB or more that it makes is alive at the end of any forward op
+        or VJP: each comes from the buffers the first step made (memory maps,
+        which tracemalloc does not see).  The batch is read-only, so no op
+        copies it."""
+        model = md.Forecaster(self.CFG, seed=74)
+        batch = self.windows(self.CFG, 16, 75)
+        for a in (batch.history, batch.target):
+            a.setflags(write=False)
+        numpy_arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        seen = []
+
+        def sampled(f):
+            def wrapper(*args):
+                out = f(*args)
+                traces = tracemalloc.take_snapshot().filter_traces(numpy_arrays).traces
+                seen.append(max((t.size for t in traces), default=0))
+                return out
+            return wrapper
+
+        def sampled_backward(tape, loss):
+            tape._parents = [entry and tuple((pid, sampled(vjp)) for pid, vjp in entry)
+                             for entry in tape._parents]
+            return backward(tape, loss)
+
+        backward, opt, config = tc.backward, tr.adam_init(model.params), tr.TrainConfig()
+        with tc.workspace() as ws:
+            tr._step(model, batch, config, make_rng(76), opt, ws)
+            first = [id(buf) for buf in ws.bufs]
+            monkeypatch.setattr(tc, "_join", sampled(tc._join))
+            monkeypatch.setattr(tc, "backward", sampled_backward)
+            tracemalloc.start()
+            try:
+                tr._step(model, batch, config, make_rng(76), opt, ws)
+            finally:
+                tracemalloc.stop()
+            assert [id(buf) for buf in ws.bufs] == first
+        assert len(seen) > 30 and max(seen) < 64 << 10, max(seen)
+
+    def test_no_workspace_outlives_train(self):
+        model = md.Forecaster(self.CFG, seed=77)
+        train_w, val_w = self.windows(self.CFG, 48, 78), self.windows(self.CFG, 40, 79)
+        tr.train(model, train_w, val_w, tr.TrainConfig(max_epochs=1, batch_size=16))
+        assert tc._WS is None
+        with pytest.raises(errors.NumericError, match="at epoch 1, batch 1$"):
+            tr.train(model, train_w, val_w,
+                     tr.TrainConfig(learning_rate=1e155, max_epochs=2, batch_size=16))
+        assert tc._WS is None
+        assert tc._empty((64, 64, 64)) is None
+        out = md.Forecaster(self.CFG, seed=77).forward(train_w.history[:32])
+        assert out.point.data.base is None  # numpy's own allocation
+
+
 def window_shapes(n: int, cfg: md.ModelConfig) -> dt.WindowBatch:
     """``n`` all-zero windows of ``cfg``'s shapes, views of one window."""
     def like(rows, cols):
