@@ -418,6 +418,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, scaler = load_checkpoint(args.checkpoint)
+    if model.config.future_covariates:
+        raise ConfigurationError(
+            "forecasting with future covariates needs horizon rows that do not exist yet; "
+            "provide them via evaluate on an extended CSV instead"
+        )
     schema = dt.load_schema(args.schema) if args.schema else None
     frame = dt.load_csv(args.csv, schema)
     cfg = model.config
@@ -430,11 +435,6 @@ def cmd_forecast(args) -> int:
         frame = scaler.apply(frame)
     hist_idx = frame.indices_for("target") + frame.indices_for("historical")
     history = frame.values[-cfg.lookback:, hist_idx][None, :, :]
-    if cfg.future_covariates:
-        raise ConfigurationError(
-            "forecasting with future covariates needs horizon rows that do not exist yet; "
-            "provide them via evaluate on an extended CSV instead"
-        )
     static = (frame.values[0, frame.indices_for("static")][None, None, :]
               if cfg.static_features else None)
     target_cols = frame.columns_for("target")

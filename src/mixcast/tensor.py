@@ -40,12 +40,12 @@ on a tape; ``standardize`` its affine without a tape.  A ReLU ``linear``
 masks its adjoint once for all its VJPs, in place under the contract above.
 ``relu`` stays as the reference the fused map is tested against.
 
-``training.train`` keeps a ``Workspace`` for exactly its own call
-(``workspace``).  Each float64 array of 64 KiB or more that a step makes is
-then a view of one of its buffers (``_empty``), taken only when no view of
-it is alive and laid out in the memory order numpy gives that result, so
-reductions over it sum in the same order.  The ops run the same ufuncs in
-the same order with ``out=``, and every bit is as without it.
+Each float64 result of 64 KiB or more (``WORKSPACE_MIN`` elements) is
+C-ordered: ``_empty`` gives it, and the op writes into it with ``out=``.
+``training.train`` keeps a ``Workspace`` for exactly its own call, active
+for its own thread alone (``workspace``); such a result is then a view of
+one of its buffers, taken only when no view of it is alive.  The layout is
+the same either way, so every bit is as without a workspace.
 
 Every op is numpy alone: ``softplus``'s gradient computes the logistic
 itself.
@@ -229,14 +229,14 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Workspace:
-    """Float64 buffers, smallest first, that ``_empty`` hands out as views to
-    the thread that made it, and adds to only while ``grow`` is set.  Each is
-    an anonymous memory map, page-aligned: numpy's loops run fastest there
-    (on an AVX-512 Xeon, adding two 192 KiB arrays took 8.4 us against 14.7 us
-    at the 16-byte alignment malloc gives)."""
+    """Float64 buffers, smallest first, that ``_empty`` hands out as views
+    while this workspace is its thread's active one (``workspace``), and adds
+    to only while ``grow`` is set.  Each is an anonymous memory map,
+    page-aligned: numpy's loops run fastest there (on an AVX-512 Xeon, adding
+    two 192 KiB arrays took 8.4 us against 14.7 us at the 16-byte alignment
+    malloc gives)."""
 
     def __init__(self):
-        self.thread = threading.get_ident() if _UNVIEWED else None  # see ``_free``
         self.grow, self.bufs = False, []
 
 
@@ -247,48 +247,45 @@ def _free(bufs: list[np.ndarray], n: int, unviewed: int | None) -> np.ndarray | 
 
 
 # The count ``_free`` reads for a buffer nothing views, as this interpreter
-# counts; None, and no workspace serves, where there is none.
+# counts; None, and no workspace is ever active, where there is none.
 _UNVIEWED = next((k for k in range(1, 8) if _free([np.empty(1)], 1, k) is not None), None)
-_WS: Workspace | None = None  # the active workspace
 WORKSPACE_MIN = 8192  # elements: malloc reuses arrays under 64 KiB without page faults
+
+
+class _Active(threading.local):
+    ws: Workspace | None = None  # this thread's active workspace
+
+
+_ACTIVE = _Active()
 
 
 @contextlib.contextmanager
 def workspace():
-    """Make a new ``Workspace`` active until the block exits, on error too."""
-    global _WS
-    previous, _WS = _WS, Workspace()
+    """Make a new ``Workspace`` this thread's active one until the block
+    exits, on error too; each thread's blocks nest on their own."""
+    previous, ws = _ACTIVE.ws, Workspace()
+    _ACTIVE.ws = ws if _UNVIEWED else None
     try:
-        yield _WS
+        yield ws
     finally:
-        _WS = previous
+        _ACTIVE.ws = previous
 
 
-def _empty(shape: tuple[int, ...], *like: np.ndarray) -> np.ndarray | None:
-    """A view of a free workspace buffer, or of a new one while it grows, for an
-    op to write its result of ``shape`` into, in the memory order numpy gives
-    an elementwise result over the operands ``like`` (C order without any).
-    None, so that numpy allocates, if none serves or the array is small."""
-    ws = _WS
-    if ws is None:
-        return None
+def _empty(shape: tuple[int, ...]) -> np.ndarray | None:
+    """A C-ordered array of ``shape`` for an op to write its result into: a
+    view of a free buffer of the thread's active workspace, or of a new one
+    while it grows, else ``np.empty``.  None, so that numpy allocates in its
+    own order, if the array is small.  The layout is the same with or
+    without a workspace, so no bit depends on one."""
     n = math.prod(shape)
-    if n < WORKSPACE_MIN or ws.thread != threading.get_ident():
+    if n < WORKSPACE_MIN:
         return None
-    buf = _free(ws.bufs, n, _UNVIEWED)
-    if buf is None and ws.grow:
+    ws = _ACTIVE.ws
+    buf = None if ws is None else _free(ws.bufs, n, _UNVIEWED)
+    if buf is None and ws is not None and ws.grow:
         buf = np.frombuffer(mmap.mmap(-1, 8 * n))
         ws.bufs = sorted(ws.bufs + [buf], key=len)
-    if buf is None:
-        return None
-    if all(a.flags.c_contiguous for a in like):
-        return buf[:n].reshape(shape)
-    # numpy orders a result's axes by the operands' strides alone, so its
-    # result over their first two elements along each axis shows the order.
-    tiny = [a[(slice(0, 2),) * a.ndim] for a in like]
-    strides = np.add(tiny[0], tiny[-1]).strides
-    order = sorted(range(len(shape)), key=lambda ax: -strides[ax])
-    return buf[:n].reshape([shape[ax] for ax in order]).transpose(np.argsort(order))
+    return np.empty(shape) if buf is None else buf[:n].reshape(shape)
 
 
 def _c_copy(a: np.ndarray) -> np.ndarray:
@@ -316,7 +313,7 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     shape = _check_broadcast(a, b, "add")
     sa, sb = a.shape, b.shape  # shapes, so the VJPs keep neither operand alive
-    return _join(np.add(a.data, b.data, out=_empty(shape, a.data, b.data)), (
+    return _join(np.add(a.data, b.data, out=_empty(shape)), (
         (a, lambda g: _unbroadcast(g, sa)),
         (b, lambda g: _unbroadcast(g, sb)),
     ))
@@ -346,7 +343,7 @@ def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if g.flags.writeable:
         g *= mask
         return g
-    return np.multiply(g, mask, out=_empty(g.shape, g, mask))
+    return np.multiply(g, mask, out=_empty(g.shape))
 
 
 def _once(f: Callable) -> Callable:
@@ -443,7 +440,7 @@ def linear(x, w, b, time_axis: bool, relu: bool = False) -> Tensor:
         if mask is not None and others[-1] > 1:
             g = batch_view(g_cols(g))
         elif mask is not None:
-            g = np.multiply(g, bm := batch_view(mask), out=_empty(g.shape, g, bm))
+            g = np.multiply(g, batch_view(mask), out=_empty(g.shape))
         return _unbroadcast(g, (O, 1))[:, 0]
 
     return _join(batch_view(out), (
@@ -462,11 +459,8 @@ def concat(a, b, axis: int = -1) -> Tensor:
     for d in range(a.ndim):
         if d != ax and a.shape[d] != b.shape[d]:
             raise DimensionError(f"concat: shapes {a.shape} and {b.shape} disagree off axis {axis}")
-    # np.concatenate picks C order wherever a ufunc over the operands would;
-    # elsewhere it allocates its own result.
-    out = _empty(a.shape[:ax] + (a.shape[ax] + b.shape[ax],) + a.shape[ax + 1:], a.data, b.data)
-    out = np.concatenate([a.data, b.data], axis=ax,
-                         out=out if out is None or out.flags.c_contiguous else None)
+    out = np.concatenate([a.data, b.data], axis=ax, out=_empty(
+        a.shape[:ax] + (a.shape[ax] + b.shape[ax],) + a.shape[ax + 1:]))
     lead = (slice(None),) * ax
     ia, ib = lead + (slice(0, a.shape[ax]),), lead + (slice(a.shape[ax], None),)
     return _join(out, ((a, lambda g: g[ia]), (b, lambda g: g[ib])))
@@ -505,18 +499,18 @@ def standardize(a, axes, floor: float, affine=None,
     ``affine = (scale, shift)`` is optional and must broadcast into ``a``'s shape."""
     a = _lift(a)
     m = np.asarray(a.data.mean(axis=axes, keepdims=True) if stats is None else stats[0])
-    xn = np.subtract(a.data, m, out=_empty(a.shape, a.data, m))
-    v = (np.multiply(xn, xn, out=_empty(xn.shape, xn)).mean(axis=axes, keepdims=True)
+    xn = np.subtract(a.data, m, out=_empty(a.shape))
+    v = (np.multiply(xn, xn, out=_empty(xn.shape)).mean(axis=axes, keepdims=True)
          if stats is None else stats[1])
     std = np.sqrt(np.maximum(v, float(floor)))
     xn /= std
     _require_finite(xn, "standardize")
 
     def vjp(g):
-        g = (np.multiply(g, scale.data, out=_empty(g.shape, g, scale.data))
+        g = (np.multiply(g, scale.data, out=_empty(g.shape))
              if affine is not None else _c_copy(g))  # the one buffer it writes
         if stats is None:
-            t = np.multiply(g, xn, out=_empty(g.shape, g, xn))
+            t = np.multiply(g, xn, out=_empty(g.shape))
             gy = t.mean(axis=axes, keepdims=True) * (v > floor)
             g -= g.mean(axis=axes, keepdims=True)
             g -= np.multiply(xn, gy, out=t)  # elementwise: any layout of ``t`` serves
@@ -530,11 +524,11 @@ def standardize(a, axes, floor: float, affine=None,
         out = xn  # no VJP will read ``xn``, so the affine overwrites it
         out *= scale.data
     else:
-        out = np.multiply(xn, scale.data, out=_empty(xn.shape, xn, scale.data))
+        out = np.multiply(xn, scale.data, out=_empty(xn.shape))
     out += shift.data
     return _join(out, (
         (a, vjp),
-        (scale, lambda g: _unbroadcast(np.multiply(g, xn, out=_empty(g.shape, g, xn)),
+        (scale, lambda g: _unbroadcast(np.multiply(g, xn, out=_empty(g.shape)),
                                        scale.shape)),
         (shift, lambda g: _unbroadcast(g, shift.shape)),
     )), m, v
@@ -548,7 +542,8 @@ def relu(a) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _lift(a)
     mask = a.data > 0.0 if a.tape is not None else None  # the VJP keeps this, not the operand
-    return _join(np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
+    return _join(np.maximum(a.data, 0.0),
+                 ((a, lambda g: np.multiply(g, mask, out=_empty(g.shape))),))
 
 
 def softplus(a) -> Tensor:
@@ -592,7 +587,7 @@ def dropout(a, rate: float, mode: str, rng: np.random.Generator | None = None) -
     def apply(x: np.ndarray) -> np.ndarray:
         # x * keep * scale is bitwise x * (keep * scale), signed zeros included,
         # so the node holds the one-byte mask and no float copy of it.
-        out = np.multiply(x, keep, out=_empty(x.shape, x, keep))
+        out = np.multiply(x, keep, out=_empty(x.shape))
         out *= scale
         return out
 
@@ -628,17 +623,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             continue
         adjoint[nid] = None  # the VJPs below are its last readers
         for pid, vjp in entry:
-            adjoint[pid] = vjp(g) if adjoint[pid] is None else _sum(adjoint[pid], vjp(g))
+            adjoint[pid] = (vjp(g) if adjoint[pid] is None  # two adjoints share a shape
+                            else np.add(adjoint[pid], vjp(g), out=_empty(adjoint[pid].shape)))
     grads: dict[int, Tensor] = {}
     for lid, shape in tape._leaves.items():
         g = adjoint[lid]
         grads[lid] = Tensor._wrap(np.zeros(shape) if g is None else np.asarray(g))
     return grads
-
-
-def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a + b`` for two adjoints of one node, which share its shape."""
-    return np.add(a, b, out=_empty(a.shape, a, b))
 
 
 def grad_check(f, params: Sequence, step: float = 1e-5) -> float:

@@ -50,15 +50,15 @@ def mse_loss(pred, target) -> Tensor:
     2 (g / n) d is bitwise the composite mean(d * d)'s: (g / n) d + (g / n) d."""
     pred, target = _lift(pred), _lift(target)
     shape = tc._check_broadcast(pred, target, "mse_loss")
-    d = np.subtract(pred.data, target.data, out=tc._empty(shape, pred.data, target.data))
+    d = np.subtract(pred.data, target.data, out=tc._empty(shape))
     sp, st = pred.shape, target.shape
 
     def vjp_pred(g):
-        out = np.multiply(g / d.size, d, out=tc._empty(shape, d))
+        out = np.multiply(g / d.size, d, out=tc._empty(shape))
         out *= 2.0
         return tc._unbroadcast(out, sp)
 
-    return tc._join(np.asarray(np.multiply(d, d, out=tc._empty(shape, d)).mean()), (
+    return tc._join(np.asarray(np.multiply(d, d, out=tc._empty(shape)).mean()), (
         (pred, vjp_pred),
         (target, lambda g: tc._unbroadcast(-2.0 * ((g / d.size) * d), st)),
     ))
@@ -199,7 +199,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g, m, v = grads[name], state.m[name], state.v[name]
         # Two scratch arrays per parameter, each op in the order of
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) with m and v updated first.
-        a = np.multiply(1.0 - BETA1, g, out=tc._empty(g.shape, g))
+        a = np.multiply(1.0 - BETA1, g, out=tc._empty(g.shape))
         m *= BETA1
         m += a
         np.multiply(1.0 - BETA2, g, out=a)
@@ -208,7 +208,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += a
         np.divide(m, bc1, out=a)
         np.multiply(lr, a, out=a)
-        b = np.divide(v, bc2, out=tc._empty(v.shape, v))
+        b = np.divide(v, bc2, out=tc._empty(v.shape))
         np.sqrt(b, out=b)
         b += ADAM_EPS
         a /= b
@@ -348,10 +348,16 @@ def train(model: Forecaster, train_windows: WindowBatch, val_windows: WindowBatc
     width = model.config.activation_width
     slices = _batch_slices(len(train_windows), config.batch_size, model.config.norm == "batch2d")
     if model.buffers and min(sl.stop - sl.start for sl in slices) < 2:  # batch2d norms
+        need = "batch2d norms need training batches of >= 2 windows, but"
+        if len(train_windows) == 1:  # no batch_size helps
+            lo = int(train_windows.starts[0])
+            hi = lo + model.config.lookback + model.config.horizon
+            raise ConfigurationError(
+                f"{need} the training split holds a single window, rows [{lo}, {hi}); use more "
+                "rows, a smaller window.stride or norm = layer")
         raise ConfigurationError(
-            f"batch2d norms need training batches of >= 2 windows, but batch_size = "
-            f"{config.batch_size} over {len(train_windows)} training windows leaves a batch "
-            "of 1; raise batch_size or set norm = layer")
+            f"{need} batch_size = {config.batch_size} over {len(train_windows)} training "
+            "windows leaves a batch of 1; raise batch_size or set norm = layer")
 
     # The best epoch's parameters and buffers, copied into these arrays.
     best_params = {k: np.empty_like(p) for k, p in model.params.items()}

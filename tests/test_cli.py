@@ -189,9 +189,14 @@ def test_evaluate_on_a_csv_too_short_for_a_window_is_one_error_line(workdir, cap
     assert (out, err) == ("", "error: short.csv: needs at least 21 rows to evaluate\n")
 
 
-@pytest.mark.parametrize("stride, batch_size, windows", [(1, 1, 105), (500, 32, 1)])
+@pytest.mark.parametrize("stride, batch_size, reason", [
+    (1, 1, "batch_size = 1 over 105 training windows leaves a batch of 1; "
+           "raise batch_size or set norm = layer"),
+    # No batch_size helps a split of one window.
+    (500, 32, "the training split holds a single window, rows [0, 36); "
+              "use more rows, a smaller window.stride or norm = layer")])
 def test_a_batch2d_batch_of_one_window_is_refused_up_front(workdir, capsys, stride, batch_size,
-                                                           windows):
+                                                           reason):
     write_series(workdir / "series.csv")
     (workdir / "exp.ini").write_text(
         f"[data]\ncsv = series.csv\n[window]\nlookback = 32\nhorizon = 4\nstride = {stride}\n"
@@ -199,9 +204,32 @@ def test_a_batch2d_batch_of_one_window_is_refused_up_front(workdir, capsys, stri
     capsys.readouterr()
     assert run_cli("train", "--config", "exp.ini", "--out", "run") == 1
     assert capsys.readouterr().err == (
-        f"error: batch2d norms need training batches of >= 2 windows, but batch_size = "
-        f"{batch_size} over {windows} training windows leaves a batch of 1; "
-        "raise batch_size or set norm = layer\n")
+        f"error: batch2d norms need training batches of >= 2 windows, but {reason}\n")
+
+
+def test_a_constant_column_trains_with_one_warning_line(workdir, capsys):
+    write_series(workdir / "series.csv")
+    frame = dt.load_csv(workdir / "series.csv")
+    values = np.hstack([frame.values, np.full((frame.n_steps, 1), 3.0)])
+    dt.save_csv(dt.SeriesFrame(values, frame.columns + ["c"], {**frame.roles, "c": "target"}),
+                workdir / "series.csv")
+    (workdir / "exp.ini").write_text(
+        LINEAR_INI.format(out="run").replace("max_epochs = 25", "max_epochs = 2"))
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini") == 0
+    assert capsys.readouterr().err == (
+        "warning: columns ['c'] are constant over the training rows; "
+        "standardizing with a floored deviation\n")
+
+
+def test_two_split_fractions_are_one_error_line(workdir, capsys):
+    write_series(workdir / "series.csv")
+    (workdir / "exp.ini").write_text(LINEAR_INI.format(out="run")
+                                     + "\n[split]\nfractions = 0.5 0.5\n")
+    capsys.readouterr()
+    assert run_cli("train", "--config", "exp.ini") == 1
+    assert capsys.readouterr() == ("", "error: split.fractions needs three values\n")
+    assert not (workdir / "run").exists()
 
 
 def test_print_config_shows_resolved_defaults(workdir, capsys):
@@ -590,6 +618,15 @@ def broken_checkpoint(workdir, case):
     return ckpt
 
 
+def test_a_model_ini_with_an_unknown_key_is_one_error_line(workdir, capsys):
+    ckpt = broken_checkpoint(workdir, "none")
+    ini = ckpt / "model.ini"
+    ini.write_text(ini.read_text().replace("[model]\n", "[model]\nwidth = 3\n"))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--checkpoint", str(ckpt), "--csv", "series.csv") == 1
+    assert capsys.readouterr() == ("", f"error: {ini}: [model] has unknown key 'width'\n")
+
+
 @pytest.mark.parametrize("case, message", [
     ("missing_key", "missing key 'hidden'"),
     ("non_numeric_key", "model.lookback must be an integer"),
@@ -943,6 +980,23 @@ def test_forecast_rejects_short_history(workdir, capsys):
     assert run_cli("forecast", "--checkpoint", str(out), "--csv", "short.csv",
                    "--out", "fc.csv") == 1
     assert "lookback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv", [None, "y0,f0\n1.0,2.0\n"])
+def test_forecast_refuses_future_covariates_before_reading_the_csv(workdir, capsys, csv):
+    """A missing CSV and a 1-row one get the same refusal: no CSV can help."""
+    cfg = md.ModelConfig(family="tsmixer_ext", lookback=16, horizon=4, targets=1,
+                         future_covariates=1, hidden=4, blocks=1)
+    (workdir / "ckpt").mkdir()
+    cli.save_checkpoint(workdir / "ckpt", md.Forecaster(cfg, seed=1), None, seed=1)
+    if csv is not None:
+        (workdir / "in.csv").write_text(csv)
+    capsys.readouterr()
+    assert run_cli("forecast", "--checkpoint", "ckpt", "--csv", "in.csv", "--out", "fc.csv") == 1
+    assert capsys.readouterr() == ("", (
+        "error: forecasting with future covariates needs horizon rows that do not exist yet; "
+        "provide them via evaluate on an extended CSV instead\n"))
+    assert not (workdir / "fc.csv").exists()
 
 
 def test_nb_forecast_emits_mean_and_dispersion(workdir):

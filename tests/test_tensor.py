@@ -1,6 +1,7 @@
 """Tensor core: forward semantics against loop oracles, autodiff against
 finite differences, and the documented error contracts."""
 
+import contextlib
 import tracemalloc
 import warnings
 import weakref
@@ -640,52 +641,95 @@ class TestOwnedEpilogues:
         assert len(calls) == 1
 
 
-class TestWorkspaceLayout:
-    """Inside a workspace an op's result is laid out as numpy lays it out, so
-    a reduction over it sums in the same order and every bit stays."""
+class TestCOrderedResults:
+    """An op's result of ``WORKSPACE_MIN`` elements or more is C-ordered,
+    whatever its operands' layouts, in a workspace and out of one, so no bit
+    depends on the workspace."""
 
     @staticmethod
-    def stored(shape, order, step=1):
-        """An array of ``shape`` stored with its axes in ``order``, slowest
-        first; ``step`` > 1 makes it a strided view along its fastest axis."""
+    def stored(rng, shape, step):
+        """A read-only array of ``shape`` (so ops share it, uncopied) stored
+        with its axes in a random order; ``step`` > 1 strides its fastest axis."""
+        order = list(rng.permutation(len(shape)))
         full = [shape[ax] for ax in order]
         full[-1] *= step
-        return np.zeros(full)[..., ::step].transpose(np.argsort(order))
+        base = rng.normal(size=full)
+        base.setflags(write=False)
+        return base[..., ::step].transpose(np.argsort(order))
 
     @staticmethod
-    def assert_same_layout(got: np.ndarray, want: np.ndarray):
-        assert got.shape == want.shape
-        assert all(g == w for g, w, n in zip(got.strides, want.strides, got.shape) if n > 1)
+    def run(a, b, c, scale, w, seed):
+        """Results and gradients of a chain through every op that writes a
+        full-size result: add, concat, standardize, dropout and linear."""
+        tape = Tape()
+        a, b, scale = tape.leaf(a), tape.leaf(b), tape.leaf(scale)
+        s = tc.add(a, b)
+        j = tc.concat(s, c)
+        n, _, _ = tc.standardize(j, (1, 2), FLOOR, (scale, 0.5))
+        d = tc.dropout(n, 0.25, "train", make_rng(seed))
+        y = tc.add(d, tc.linear(d, w, np.zeros(len(w)), True, relu=True))
+        loss = tc.mean(tc.mul(y, y))
+        grads = tc.backward(tape, loss)
+        return [s.data, j.data, n.data, d.data, y.data], [grads[t.nid].data for t in (a, b, scale)]
 
-    def test_elementwise_results_follow_numpy(self, monkeypatch):
-        monkeypatch.setattr(tc, "WORKSPACE_MIN", 1)
+    def test_results_are_c_ordered_and_the_same_in_a_workspace(self):
         rng = make_rng(80)
-        with tc.workspace() as ws:
-            ws.grow = True
-            for _ in range(400):
-                shape = tuple(int(n) for n in rng.integers(1, 5, size=rng.integers(1, 4)))
-                a = self.stored(shape, list(rng.permutation(len(shape))), int(rng.integers(1, 3)))
-                kept = int(rng.integers(0, len(shape)))  # b broadcasts over leading axes
-                b_shape = tuple(1 if rng.random() < 0.3 else n for n in shape[kept:])
-                b = self.stored(b_shape, list(rng.permutation(len(b_shape))))
-                self.assert_same_layout(tc._empty(shape, a, b), a + b)
-                self.assert_same_layout(tc._empty(shape, a), a * 2.0)
-
-    def test_concat_follows_numpy(self, monkeypatch):
-        monkeypatch.setattr(tc, "WORKSPACE_MIN", 1)
-        rng = make_rng(81)
-        with tc.workspace() as ws:
-            ws.grow = True
-            for _ in range(200):
-                shape = [int(n) for n in rng.integers(1, 4, size=3)]
-                ops = []
-                for _ in range(2):
-                    shape[-1] = int(rng.integers(1, 4))
-                    ops.append(self.stored(tuple(shape), list(rng.permutation(3)),
-                                           int(rng.integers(1, 3))) + rng.normal())
-                got, want = tc.concat(*ops).data, np.concatenate(ops, axis=-1)
+        for trial in range(12):
+            rows, cols = int(rng.integers(24, 40)), int(rng.integers(8, 24))
+            shape = (tc.WORKSPACE_MIN // (rows * cols) + int(rng.integers(1, 3)), rows, cols)
+            a = self.stored(rng, shape, int(rng.integers(1, 3)))
+            kept = int(rng.integers(0, 3))  # b broadcasts over leading axes
+            b = self.stored(rng, tuple(1 if rng.random() < 0.3 else n for n in shape[kept:]),
+                            int(rng.integers(1, 3)))
+            c = self.stored(rng, shape[:2] + (int(rng.integers(1, 4)),), 1)
+            scale = self.stored(rng, (1, rows, cols + c.shape[-1]), int(rng.integers(1, 3)))
+            w = rng.normal(size=(rows, rows)) / rows
+            outside = self.run(a, b, c, scale, w, trial)
+            with tc.workspace() as ws:
+                ws.grow = True
+                inside = self.run(a, b, c, scale, w, trial)
+                assert ws.bufs
+            for got, want in zip(inside[0], outside[0]):
+                assert got.size >= tc.WORKSPACE_MIN
+                assert got.flags.c_contiguous and want.flags.c_contiguous
                 np.testing.assert_array_equal(got, want)
-                self.assert_same_layout(got, want)
+            for got, want in zip(inside[1], outside[1]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("x_shape, w_shape, time_axis", [
+        ((4, 96, 24), (128, 96), True), ((2048, 6, 1), (8, 6), True),
+        ((8, 64, 32), (48, 32), False), ((96, 40), (256, 96), True)])
+    @pytest.mark.parametrize("in_workspace", [False, True])
+    @pytest.mark.parametrize("consumer", ["add", "linear"])
+    def test_relu_linear_equals_relu_of_linear_at_64_kib_and_more(self, x_shape, w_shape,
+                                                                   time_axis, in_workspace,
+                                                                   consumer):
+        """The fused map's values and taped gradients, bit for bit, at sizes
+        where results and adjoints come from ``_empty``: ``add`` hands the
+        node a C-ordered adjoint, a time-axis ``linear`` a batch view of one."""
+        rng = make_rng(81)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[:1])
+        out_shape = tc.linear(x, w, b, time_axis).shape
+        head = rng.normal(size=(5, out_shape[-2]))
+
+        def run(fused):
+            tape = Tape()
+            bound = [tape.leaf(v) for v in (x, w, b)]
+            h = (tc.linear(*bound, time_axis, relu=True) if fused
+                 else tc.relu(tc.linear(*bound, time_axis)))
+            y = (tc.add(h, 1.0) if consumer == "add"
+                 else tc.linear(h, head, np.zeros(5), True))
+            loss = tc.mean(tc.mul(h, y) if consumer == "add" else tc.mul(y, y))
+            grads = tc.backward(tape, loss)
+            return [h.data, loss.data] + [grads[t.nid].data for t in bound]
+
+        with tc.workspace() if in_workspace else contextlib.nullcontext() as ws:
+            if ws is not None:
+                ws.grow = True
+            fused, ref = run(True), run(False)
+        assert fused[0].size >= tc.WORKSPACE_MIN
+        for got, want in zip(fused, ref):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestReluEpilogue:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -569,7 +570,7 @@ class TestWorkspace:
 
         def keeping_mse_loss(pred, target):
             if not kept:  # the first step's forecast, from a workspace buffer
-                assert any(pred.data.base is buf for buf in tc._WS.bufs)
+                assert any(pred.data.base is buf for buf in tc._ACTIVE.ws.bufs)
                 view = pred.data[:, ::2]
                 kept.append((pred, view, pred.data.tobytes(), view.tobytes()))
             return mse_loss(pred, target)
@@ -625,14 +626,52 @@ class TestWorkspace:
         model = md.Forecaster(self.CFG, seed=77)
         train_w, val_w = self.windows(self.CFG, 48, 78), self.windows(self.CFG, 40, 79)
         tr.train(model, train_w, val_w, tr.TrainConfig(max_epochs=1, batch_size=16))
-        assert tc._WS is None
+        assert tc._ACTIVE.ws is None
         with pytest.raises(errors.NumericError, match="at epoch 1, batch 1$"):
             tr.train(model, train_w, val_w,
                      tr.TrainConfig(learning_rate=1e155, max_epochs=2, batch_size=16))
-        assert tc._WS is None
-        assert tc._empty((64, 64, 64)) is None
+        assert tc._ACTIVE.ws is None
+        fresh = tc._empty((64, 64, 64))
+        assert fresh.base is None and fresh.flags.c_contiguous
         out = md.Forecaster(self.CFG, seed=77).forward(train_w.history[:32])
         assert out.point.data.base is None  # numpy's own allocation
+
+    def test_overlapping_blocks_of_two_threads_each_serve_their_own_thread(self):
+        """A enters, B enters, A exits, B exits: while B's block is open, A's
+        own block still serves A, and neither block outlives its exit."""
+        shape, seen = (16, 32, 32), {}
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+        def served(ws):
+            out = tc._empty(shape)
+            return any(out.base is buf for buf in ws.bufs)
+
+        def thread_a():
+            with tc.workspace() as ws:
+                ws.grow = True
+                a_in.set()
+                b_in.wait(10)
+                seen["a in its block"] = served(ws)
+            a_out.set()
+            seen["a after"] = tc._empty(shape).base is None
+
+        def thread_b():
+            a_in.wait(10)
+            with tc.workspace() as ws:
+                ws.grow = True
+                b_in.set()
+                a_out.wait(10)
+                seen["b in its block"] = served(ws)
+            seen["b after"] = tc._empty(shape).base is None
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert seen == dict.fromkeys(["a in its block", "a after", "b in its block", "b after"],
+                                     True)
+        assert tc._ACTIVE.ws is None
 
 
 def window_shapes(n: int, cfg: md.ModelConfig) -> dt.WindowBatch:
