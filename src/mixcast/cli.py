@@ -187,12 +187,15 @@ def _ini_text(seed: int, sections: dict[str, dict[str, str]]) -> str:
     return "\n".join(lines)
 
 
+# The ModelConfig field that counts each role's columns.
+_ROLE_COUNTS = {"target": "targets", "historical": "hist_covariates",
+                "future": "future_covariates", "static": "static_features"}
+
+
 def _model_config_for(frame: dt.SeriesFrame, exp: Experiment) -> md.ModelConfig:
     return md.ModelConfig(**exp.model, lookback=exp.window.lookback, horizon=exp.window.horizon,
-                          targets=len(frame.columns_for("target")),
-                          hist_covariates=len(frame.columns_for("historical")),
-                          future_covariates=len(frame.columns_for("future")),
-                          static_features=len(frame.columns_for("static")))
+                          **{field: len(frame.columns_for(role))
+                             for role, field in _ROLE_COUNTS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,22 @@ def _check_array_sizes(config: md.ModelConfig, batch: int) -> None:
                 f"{what} would have shape {shape}, more bytes than numpy can address")
 
 
+def _check_columns(frame: dt.SeriesFrame, model: md.Forecaster,
+                   scaler: dt.Standardizer | None, csv) -> None:
+    """Raise a DataError unless ``frame`` has as many columns of each role as
+    the checkpoint's model and, when the checkpoint has a scaler, its
+    non-static columns are the scaler's, in order."""
+    for role, field in _ROLE_COUNTS.items():
+        got, want = len(frame.columns_for(role)), getattr(model.config, field)
+        if got != want:
+            raise DataError(f"{csv}: {got} {role} columns, but the checkpoint has {want}")
+    if scaler is not None:
+        got = [c for c in frame.columns if frame.roles[c] != "static"]
+        if got != scaler.columns:
+            raise DataError(f"{csv}: the non-static columns are {' '.join(got)}, but the "
+                            f"checkpoint expects {' '.join(scaler.columns)}, in that order")
+
+
 def cmd_train(args) -> int:
     exp = load_experiment(args.config, args.out)
     args.out = str(exp.out)  # resolved dir, so failures can leave error.log there
@@ -366,6 +385,7 @@ def cmd_evaluate(args) -> int:
     model, scaler = load_checkpoint(args.checkpoint)
     schema = dt.load_schema(args.schema) if args.schema else None
     frame = dt.load_csv(args.csv, schema)
+    _check_columns(frame, model, scaler, args.csv)
     raw_frame = frame
     if scaler is not None:
         frame = scaler.apply(frame)
@@ -425,6 +445,7 @@ def cmd_forecast(args) -> int:
         )
     schema = dt.load_schema(args.schema) if args.schema else None
     frame = dt.load_csv(args.csv, schema)
+    _check_columns(frame, model, scaler, args.csv)
     cfg = model.config
     if frame.n_steps < cfg.lookback:
         raise DataError(

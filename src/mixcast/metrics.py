@@ -140,6 +140,24 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
     return float(np.mean(list(per_level.values()))), per_level
 
 
+def _read_level(lv, path) -> HierarchyLevel:
+    """One level of a hierarchy JSON: a string name, an object of aggregates
+    whose members are lists of strings, and weights that are numbers."""
+    name, groups, weights = lv["name"], lv["groups"], lv["weights"]
+    if not isinstance(name, str):
+        raise SchemaError(f"{path}: hierarchy level name {name!r} is not a string")
+    if not isinstance(groups, dict) or not all(
+            isinstance(ms, list) and all(isinstance(m, str) for m in ms)
+            for ms in groups.values()):
+        raise SchemaError(f"{path}: level {name!r}: groups must map each aggregate "
+                          "to a list of series names")
+    for agg, v in weights.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{path}: hierarchy weight is not a number: level {name!r}, "
+                              f"aggregate {agg!r} has {v!r}")
+    return HierarchyLevel(name, groups, {k: float(v) for k, v in weights.items()})
+
+
 def load_hierarchy(path) -> HierarchySpec:
     """Read a hierarchy spec from JSON: {"levels": [{name, groups, weights}]}."""
     with reading(path, SchemaError):
@@ -149,11 +167,7 @@ def load_hierarchy(path) -> HierarchySpec:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid hierarchy JSON: {exc}") from exc
     try:
-        levels = [HierarchyLevel(lv["name"], {k: list(v) for k, v in lv["groups"].items()},
-                                 {k: float(v) for k, v in lv["weights"].items()})
-                  for lv in raw["levels"]]
+        levels = [_read_level(lv, path) for lv in raw["levels"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"{path}: hierarchy JSON is missing fields: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: hierarchy weight is not a number: {exc}") from exc
     return HierarchySpec(levels)

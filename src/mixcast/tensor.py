@@ -40,12 +40,14 @@ on a tape; ``standardize`` its affine without a tape.  A ReLU ``linear``
 masks its adjoint once for all its VJPs, in place under the contract above.
 ``relu`` stays as the reference the fused map is tested against.
 
-Each float64 result of 64 KiB or more (``WORKSPACE_MIN`` elements) is
-C-ordered: ``_empty`` gives it, and the op writes into it with ``out=``.
+Each result ``_empty`` gives is C-ordered, whatever its size and its
+operands' layouts, and the op writes into it with ``out=``.
 ``training.train`` keeps a ``Workspace`` for exactly its own call, active
-for its own thread alone (``workspace``); such a result is then a view of
-one of its buffers, taken only when no view of it is alive.  The layout is
-the same either way, so every bit is as without a workspace.
+for its own thread alone (``workspace``); a result of 64 KiB or more
+(``WORKSPACE_MIN`` elements) is then a view of one of its free buffers.
+The layout is the same either way, so every bit is as without a workspace.
+A batched time-axis ``linear``'s gradients, its bias gradient included,
+read one C-ordered column copy of the adjoint, whatever the adjoint's layout.
 
 Every op is numpy alone: ``softplus``'s gradient computes the logistic
 itself.
@@ -271,16 +273,14 @@ def workspace():
         _ACTIVE.ws = previous
 
 
-def _empty(shape: tuple[int, ...]) -> np.ndarray | None:
-    """A C-ordered array of ``shape`` for an op to write its result into: a
-    view of a free buffer of the thread's active workspace, or of a new one
-    while it grows, else ``np.empty``.  None, so that numpy allocates in its
-    own order, if the array is small.  The layout is the same with or
-    without a workspace, so no bit depends on one."""
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """A C-ordered array of ``shape`` for an op to write its result into.  In
+    the thread's active workspace, one of ``WORKSPACE_MIN`` elements or more
+    is a view of a free buffer, or of a new one while it grows; every other
+    is ``np.empty``.  The layout is the same either way, so no bit depends on
+    where the memory comes from."""
     n = math.prod(shape)
-    if n < WORKSPACE_MIN:
-        return None
-    ws = _ACTIVE.ws
+    ws = _ACTIVE.ws if n >= WORKSPACE_MIN else None
     buf = None if ws is None else _free(ws.bufs, n, _UNVIEWED)
     if buf is None and ws is not None and ws.grow:
         buf = np.frombuffer(mmap.mmap(-1, 8 * n))
@@ -289,18 +289,16 @@ def _empty(shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 def _c_copy(a: np.ndarray) -> np.ndarray:
-    """``a.copy()``, into a workspace buffer when one serves."""
+    """A C-ordered copy of ``a`` from ``_empty``."""
     out = _empty(a.shape)
-    if out is None:
-        return a.copy()
     np.copyto(out, a)
     return out
 
 
 def _cols(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a.reshape(rows, -1)`` at rank <= 3, copied by ``_c_copy`` where numpy
-    would copy: where the trailing axes do not merge."""
-    if a.ndim < 3 or 1 in a.shape[1:] or a.strides[1] == a.shape[2] * a.strides[2]:
+    """``a.reshape(rows, -1)`` at rank <= 3: a view where the trailing axes
+    merge, else a C-ordered copy by ``_c_copy``."""
+    if a.ndim < 3 or a.strides[1] == a.shape[2] * a.strides[2]:
         return a.reshape(rows, -1)
     return _c_copy(a).reshape(rows, -1)
 
@@ -432,21 +430,10 @@ def linear(x, w, b, time_axis: bool, relu: bool = False) -> Tensor:
         c, cols = cols, None  # the last read of the input's column copy
         return np.matmul(g_cols(g), c.T, out=_empty((O, I)))
 
-    def vjp_b(g):
-        # ``_unbroadcast`` sums the batch in order, then the columns, as it
-        # does on ``relu``'s masked adjoint.  With one column, numpy would sum
-        # the column layout's batch pairwise, so that one is masked as ``relu``
-        # masks it.
-        if mask is not None and others[-1] > 1:
-            g = batch_view(g_cols(g))
-        elif mask is not None:
-            g = np.multiply(g, batch_view(mask), out=_empty(g.shape))
-        return _unbroadcast(g, (O, 1))[:, 0]
-
     return _join(batch_view(out), (
         (w, vjp_w),
         (x, lambda g: batch_view(np.matmul(w.data.T, g_cols(g), out=_empty((I, g.size // O))))),
-        (b, vjp_b),
+        (b, lambda g: g_cols(g).sum(axis=1)),
     ))
 
 

@@ -695,6 +695,33 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
         "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y0", "y1"]},
                                           "weights": {"all": 1.0}}]}).encode(),
         EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_name_not_string": (
+        "h.json", json.dumps({"levels": [{"name": ["x"], "groups": {"all": ["y0", "y1"]},
+                                          "weights": {"all": 1.0}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_member_not_string": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": [["y0"], "y1"]},
+                                          "weights": {"all": 1.0}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_members_not_list": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": "y0"},
+                                          "weights": {"all": 1.0}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_bool": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]},
+                                          "weights": {"all": True}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_null": (
+        "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]},
+                                          "weights": {"all": None}}]}).encode(),
+        EVALUATE + ["--hierarchy", "h.json"]),
+    "csv_columns_swapped": ("swapped.csv", b"y1,y0\n1,2\n", EVALUATE[:-1] + ["swapped.csv"]),
+    "forecast_csv_columns_swapped": ("swapped.csv", b"y1,y0\n1,2\n",
+                                     FORECAST[:-1] + ["swapped.csv", "--out", "fc.csv"]),
+    "schema_target_count": ("schema.ini", b"[roles]\ny0 = target\ny1 = historical\n",
+                            WITH_SCHEMA),
+    "forecast_schema_target_count": ("schema.ini", b"[roles]\ny0 = target\ny1 = historical\n",
+                                     FORECAST + ["--schema", "schema.ini", "--out", "fc.csv"]),
     "checkpoint_no_params": ("ckpt/params.bin", None, EVALUATE),
     "config_no_csv": ("exp.ini", b"[run]\nseed = 1\n", TRAIN),
     "csv_cell_too_large": ("big.csv", b"y0,y1\n1," + b"2" * 200_000 + b"\n",
@@ -726,6 +753,18 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     ("hierarchy_weight_nan", "level 'total': weights sum to nan, expected 1"),
     ("hierarchy_repeated_member",
      "level 'total': aggregate 'all' lists series 'y0' more than once"),
+    ("hierarchy_name_not_string", "h.json: hierarchy level name ['x'] is not a string"),
+    ("hierarchy_member_not_string",
+     "h.json: level 'total': groups must map each aggregate to a list of series names"),
+    ("hierarchy_members_not_list",
+     "h.json: level 'total': groups must map each aggregate to a list of series names"),
+    ("hierarchy_weight_bool", "hierarchy weight is not a number: level 'total', aggregate 'all'"),
+    ("hierarchy_weight_null", "hierarchy weight is not a number: level 'total', aggregate 'all'"),
+    ("csv_columns_swapped", "swapped.csv: the non-static columns are y1 y0, but the checkpoint "
+                            "expects y0 y1, in that order"),
+    ("forecast_csv_columns_swapped", "swapped.csv: the non-static columns are y1 y0"),
+    ("schema_target_count", "series.csv: 1 target columns, but the checkpoint has 2"),
+    ("forecast_schema_target_count", "series.csv: 1 target columns, but the checkpoint has 2"),
     ("checkpoint_no_params", "params.bin: No such file or directory"),
     ("config_no_csv", "data.csv must point at a training CSV"),
     ("csv_cell_too_large", "big.csv: line 2: field larger than field limit (131072)"),

@@ -732,6 +732,43 @@ class TestCOrderedResults:
             np.testing.assert_array_equal(got, want)
 
 
+class TestLayoutFreeBits:
+    """``_empty`` gives a C-ordered array at every size, and a time-axis
+    ``linear``'s gradients read one C-ordered copy of the adjoint, so their
+    bits do not depend on how the adjoint is laid out."""
+
+    @pytest.mark.parametrize("in_workspace", [False, True])
+    def test_small_results_are_c_ordered_arrays_too(self, in_workspace):
+        with tc.workspace() if in_workspace else contextlib.nullcontext() as ws:
+            if ws is not None:
+                ws.grow = True
+            for shape in [(), (3,), (5, 6, 3), (tc.WORKSPACE_MIN - 1,)]:
+                out = tc._empty(shape)
+                assert isinstance(out, np.ndarray) and out.shape == shape
+                assert out.flags.c_contiguous and out.base is None
+            assert not in_workspace or not ws.bufs
+
+    @pytest.mark.parametrize("x_shape, rows", [((33, 6, 1), 7), ((64, 96, 1), 128),
+                                               ((32, 96, 24), 128)])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_time_axis_gradients_do_not_depend_on_the_adjoints_layout(self, x_shape, rows,
+                                                                      relu):
+        """``mul`` hands the node an adjoint laid out as its other operand."""
+        rng = make_rng(82)
+        x, w = rng.normal(size=x_shape), rng.normal(size=(rows, x_shape[1]))
+        b, probe = rng.normal(size=rows), rng.normal(size=(x_shape[0], rows, x_shape[2]))
+
+        def grads(p):
+            tape = Tape()
+            bound = [tape.leaf(v) for v in (x, w, b)]
+            loss = tc.mean(tc.mul(tc.linear(*bound, True, relu=relu), p))
+            got = tc.backward(tape, loss)
+            return [got[t.nid].data for t in bound]
+
+        for got, want in zip(grads(np.asfortranarray(probe)), grads(probe)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestReluEpilogue:
     """``linear(..., relu=True)`` is ``relu(linear(...))`` in one node: the
     same values and gradients, bit for bit, with no second activation."""

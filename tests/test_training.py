@@ -723,11 +723,11 @@ class TestPinnedArithmetic:
     }
     DIGESTS = {
         "tsmixer": {
-            "step": "1a16741a77c656ac6ae67aa20efe6f652f0e598e2dd6ee111b1d9023d4966649",
-            "history": "9f6620f1f2bacfe4c5996fd5f50cdbea066c2bb4ee05aa9ebaaa87bece567087",
+            "step": "78c038309032390efc9e1a4e8042abcf64664edada7ff41e69ec256b80160094",
+            "history": "27e1fa329b480658d5fb527227357345055dfd05b5ab9ddd97ea00217602096f",
             "eval": "5693dc1e08361991bbf25a7c1e508fb94d8ac84103ffeac1df7c5216dd1da0f9"},
         "tsmixer_ext": {
-            "step": "35b44192c446480b2ce6b2e8fa079ddb5664b40ca82f4ddd5c5c8fe2a214fcf5",
+            "step": "e9df22bdbf928b7e2f399b44556fcb6b392ab57c9998df2b85e956733a7aff43",
             "history": "d806ead4ef338eb93dd6ab05649bef44309e7f1787018045ba115f3e81fc215e",
             "eval": "2f4d2a969bbdef44f9b5f3463f7fe55ef830d4207a825ad680d456ea59462806"},
     }
