@@ -318,20 +318,20 @@ def _check_array_sizes(config: md.ModelConfig, batch: int) -> None:
                 f"{what} would have shape {shape}, more bytes than numpy can address")
 
 
-def _check_columns(frame: dt.SeriesFrame, model: md.Forecaster,
-                   scaler: dt.Standardizer | None, csv) -> None:
-    """Raise a DataError unless ``frame`` has as many columns of each role as
-    the checkpoint's model and, when the checkpoint has a scaler, its
-    non-static columns are the scaler's, in order."""
+def _read_csv(args, model: md.Forecaster, scaler: dt.Standardizer | None) -> dt.SeriesFrame:
+    """The frame of ``--csv`` under ``--schema``: a DataError unless its role counts are the
+    model's and, given a scaler, its non-static columns are the scaler's, in order."""
+    frame = dt.load_csv(args.csv, dt.load_schema(args.schema) if args.schema else None)
     for role, field in _ROLE_COUNTS.items():
         got, want = len(frame.columns_for(role)), getattr(model.config, field)
         if got != want:
-            raise DataError(f"{csv}: {got} {role} columns, but the checkpoint has {want}")
+            raise DataError(f"{args.csv}: {got} {role} columns, but the checkpoint has {want}")
     if scaler is not None:
-        got = [c for c in frame.columns if frame.roles[c] != "static"]
+        got = [frame.columns[j] for j in frame.scaled_indices()]
         if got != scaler.columns:
-            raise DataError(f"{csv}: the non-static columns are {' '.join(got)}, but the "
+            raise DataError(f"{args.csv}: the non-static columns are {' '.join(got)}, but the "
                             f"checkpoint expects {' '.join(scaler.columns)}, in that order")
+    return frame
 
 
 def cmd_train(args) -> int:
@@ -349,8 +349,7 @@ def cmd_train(args) -> int:
     out = exp.out
     with reading(out, ConfigurationError, "write"):
         out.mkdir(parents=True, exist_ok=True)
-    schema = dt.load_schema(exp.schema) if exp.schema else None
-    frame = dt.load_csv(exp.csv, schema)
+    frame = dt.load_csv(exp.csv, dt.load_schema(exp.schema) if exp.schema else None)
     bounds = exp.split.bounds(frame.n_steps)
     scaler = None
     if exp.standardize:
@@ -383,29 +382,25 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, scaler = load_checkpoint(args.checkpoint)
-    schema = dt.load_schema(args.schema) if args.schema else None
-    frame = dt.load_csv(args.csv, schema)
-    _check_columns(frame, model, scaler, args.csv)
-    raw_frame = frame
-    if scaler is not None:
-        frame = scaler.apply(frame)
+    raw_frame = _read_csv(args, model, scaler)
+    frame = scaler.apply(raw_frame) if scaler is not None else raw_frame
     cfg = model.config
     windows = dt.make_windows(frame, dt.WindowSpec(cfg.lookback, cfg.horizon))
     if len(windows) == 0:
         raise DataError(f"{args.csv}: needs at least {cfg.lookback + cfg.horizon} rows to evaluate")
     target_cols = frame.columns_for("target")
     idx = raw_frame.indices_for("target")
-    # Window k's truth is rows [k, k + horizon) of a row-major copy, laid out like its forecast.
-    truth = sliding_window_view(np.ascontiguousarray(raw_frame.values[cfg.lookback:, idx]),
+    # Window k's truth is rows [k, k + horizon) of a row-major copy, laid out like its forecast
+    # (``take`` copies once and row-major; ``[:, idx]`` would copy column-major).
+    truth = sliding_window_view(raw_frame.values[cfg.lookback:].take(idx, axis=1),
                                 cfg.horizon, axis=0).swapaxes(1, 2)
+    to_raw = scaler.subset(target_cols).invert if scaler is not None else np.asarray
     # Score each chunk as it is forecast, so memory does not grow with the window count.
     sq_sum = abs_sum = 0.0
     with np.errstate(all="ignore"):  # no numpy warnings: the check below names a failure
         for rows, chunk in tr.eval_chunks(windows, cfg.activation_width):
             out = model.forward(chunk.history, chunk.future, chunk.static)
-            pred = (out.point if out.point is not None else out.mean).data
-            if scaler is not None:
-                pred = scaler.invert(pred, target_cols)
+            pred = to_raw((out.point if out.point is not None else out.mean).data)
             err = pred - truth[rows]
             sq_sum += float(np.sum(err ** 2))
             abs_sum += float(np.sum(np.abs(err, out=err)))
@@ -443,28 +438,25 @@ def cmd_forecast(args) -> int:
             "forecasting with future covariates needs horizon rows that do not exist yet; "
             "provide them via evaluate on an extended CSV instead"
         )
-    schema = dt.load_schema(args.schema) if args.schema else None
-    frame = dt.load_csv(args.csv, schema)
-    _check_columns(frame, model, scaler, args.csv)
+    frame = _read_csv(args, model, scaler)
     cfg = model.config
     if frame.n_steps < cfg.lookback:
         raise DataError(
             f"{args.csv}: forecasting needs at least lookback = {cfg.lookback} rows, "
             f"got {frame.n_steps}"
         )
-    if scaler is not None:
-        frame = scaler.apply(frame)
-    hist_idx = frame.indices_for("target") + frame.indices_for("historical")
-    history = frame.values[-cfg.lookback:, hist_idx][None, :, :]
     static = (frame.values[0, frame.indices_for("static")][None, None, :]
               if cfg.static_features else None)
+    frame = dt.SeriesFrame(frame.values[-cfg.lookback:], frame.columns, frame.roles)
+    frame = scaler.apply(frame) if scaler is not None else frame  # just the rows it reads
+    history = frame.values[:, frame.indices_for("target") + frame.indices_for("historical")][None]
     target_cols = frame.columns_for("target")
     with np.errstate(all="ignore"):  # no numpy warnings: the check below names a failure
         out = model.forward(history, None, static)
         if out.point is not None:
             pred, cols = out.point.data[0], target_cols
             if scaler is not None:
-                pred = scaler.invert(pred, target_cols)
+                pred = scaler.subset(target_cols).invert(pred)
         else:
             pred = np.hstack([out.mean.data[0], out.dispersion.data[0]])
             cols = [f"{c}_mean" for c in target_cols] + [f"{c}_dispersion" for c in target_cols]

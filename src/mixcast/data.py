@@ -69,10 +69,10 @@ class SeriesFrame:
             role = self.roles.get(col)
             if role not in ROLES:
                 raise SchemaError(f"column {col!r} has invalid role {role!r}; expected one of {ROLES}")
-        for col in self.columns_for("static"):
-            series = self.values[:, self.columns.index(col)]
+        for j in self.indices_for("static"):
+            series = self.values[:, j]
             if series.size and not np.all(series == series[0]):
-                raise SchemaError(f"static column {col!r} is not constant over time")
+                raise SchemaError(f"static column {self.columns[j]!r} is not constant over time")
         if not np.all(np.isfinite(self.values)):
             raise DataError("frame contains non-finite values")
 
@@ -85,6 +85,10 @@ class SeriesFrame:
 
     def indices_for(self, role: str) -> list[int]:
         return [j for j, c in enumerate(self.columns) if self.roles[c] == role]
+
+    def scaled_indices(self) -> list[int]:
+        """Positions of the columns a Standardizer covers: the non-static ones, in order."""
+        return [j for j, c in enumerate(self.columns) if self.roles[c] != "static"]
 
 
 def read_ini(path, error: type[MixcastError]) -> configparser.ConfigParser:
@@ -260,32 +264,36 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, frame: SeriesFrame) -> SeriesFrame:
-        idx = _positions(self.columns, frame.columns, "standardizer column {!r} missing from frame")
-        values = frame.values.copy()
+        where = {c: j for j, c in enumerate(frame.columns)}
+        for c in self.columns:
+            if c not in where:
+                raise SchemaError(f"standardizer column {c!r} missing from frame")
+        idx = [where[c] for c in self.columns]
+        scaled = frame.values[:, idx]  # the one copy, scaled in place
         with np.errstate(over="ignore"):
-            scaled = (values[:, idx] - self.mean) / self.std
+            scaled -= self.mean
+            scaled /= self.std
         if not np.isfinite(scaled).all():
             j = int(np.argmin(np.isfinite(scaled).all(axis=0)))
             raise DataError(f"column {self.columns[j]!r} overflows when standardized "
                             f"by its scale {float(self.std[j])!r}")
+        values = frame.values.copy()
         values[:, idx] = scaled
         return SeriesFrame(values, list(frame.columns), dict(frame.roles))
 
-    def invert(self, values: np.ndarray, columns: list[str]) -> np.ndarray:
+    def subset(self, columns: list[str]) -> "Standardizer":
+        """The scaler of ``columns``, in that order; SchemaError for one it lacks."""
+        where = {c: j for j, c in enumerate(self.columns)}
+        for c in columns:
+            if c not in where:
+                raise SchemaError(f"column {c!r} was not standardized")
+        idx = [where[c] for c in columns]
+        return Standardizer(list(columns), self.mean[idx], self.std[idx])
+
+    def invert(self, values: np.ndarray) -> np.ndarray:
         """Map standardized values (..., len(columns)) back to raw units."""
-        idx = _positions(columns, self.columns, "column {!r} was not standardized")
-        out = np.asarray(values, dtype=np.float64) * self.std[idx]
-        out += self.mean[idx]
-        return out
-
-
-def _positions(names: list[str], within: list[str], missing: str) -> list[int]:
-    """Index of each of ``names`` in ``within``; SchemaError for the first absent one."""
-    where = {c: j for j, c in enumerate(within)}
-    for c in names:
-        if c not in where:
-            raise SchemaError(missing.format(c))
-    return [where[c] for c in names]
+        out = values * self.std
+        return np.add(out, self.mean, out=out)  # in place: one new array a call
 
 
 def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame, Standardizer]:
@@ -296,11 +304,11 @@ def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame
     """
     if not 1 <= train_rows <= frame.n_steps:
         raise ParameterError(f"train_rows must be in [1, {frame.n_steps}], got {train_rows}")
-    cols = [c for c in frame.columns if frame.roles[c] != "static"]
-    idx = [frame.columns.index(c) for c in cols]
+    idx = frame.scaled_indices()
+    cols = [frame.columns[j] for j in idx]
     train = frame.values[:train_rows, idx]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    del train  # before apply makes its copies
     flat = std < SCALE_FLOOR
     if np.any(flat):
         names = [c for c, f in zip(cols, flat) if f]

@@ -152,10 +152,10 @@ def _read_level(lv, path) -> HierarchyLevel:
         raise SchemaError(f"{path}: level {name!r}: groups must map each aggregate "
                           "to a list of series names")
     for agg, v in weights.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not isinstance(v, float):  # JSON numbers are read as floats; true is a bool
             raise SchemaError(f"{path}: hierarchy weight is not a number: level {name!r}, "
                               f"aggregate {agg!r} has {v!r}")
-    return HierarchyLevel(name, groups, {k: float(v) for k, v in weights.items()})
+    return HierarchyLevel(name, groups, dict(weights))
 
 
 def load_hierarchy(path) -> HierarchySpec:
@@ -163,8 +163,8 @@ def load_hierarchy(path) -> HierarchySpec:
     with reading(path, SchemaError):
         text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_int=float)  # so an integer too large for a float is inf
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SchemaError(f"{path}: invalid hierarchy JSON: {exc}") from exc
     try:
         levels = [_read_level(lv, path) for lv in raw["levels"]]

@@ -37,8 +37,10 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     every subcommand: synth, train, evaluate --hierarchy, forecast, and
     verify-theory with and without --corrupt, and evaluate on a CSV too
     short for a window and on the training CSV with its columns swapped,
-    each of which must exit 1 with one ``error:`` line on stderr; both
-    steps run here."""
+    each of which must exit 1 with one ``error:`` line on stderr; then a
+    ``tsmixer_ext`` train, evaluate and forecast under a schema, on a CSV
+    that interleaves target, historical and static columns; both steps run
+    here."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["numpy-only"]["steps"]
     python = [step["with"]["python-version"] for step in steps
@@ -60,6 +62,9 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     assert ('code != 1 or len(lines) != 1 or not lines[0].startswith("error: ")' in script
             and '"--steps", "10"' in script and "redirect_stderr(err)" in script)
     assert "for bad in (short, swapped):" in script and 'f"{b},{a}\\n"' in script
+    assert ('"y0,h,s,y1' in script and "h = historical" in script and "s = static" in script
+            and "family = tsmixer_ext" in script and "schema = {schema}" in script)
+    assert script.count('"--schema", schema') == 2
     exec(compile(script, "numpy-only CLI", "exec"), {})
 
 

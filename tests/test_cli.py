@@ -667,6 +667,27 @@ def test_standardizer_overflow_names_the_column(workdir, capsys):
     assert_one_error(capsys, "column 'y0' overflows when standardized by its scale 1e-300")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow must not warn
+def test_forecast_standardizes_only_the_rows_it_reads(workdir, capsys):
+    # y0 / 0.5 overflows at 1.5e308.  Forecast reads the last 14 (lookback)
+    # rows, so the value fails it there and is never read one row earlier.
+    ckpt = broken_checkpoint(workdir, "none")
+    (ckpt / "model.ini").write_text(
+        (ckpt / "model.ini").read_text().replace("std = 2.0 3.0", "std = 0.5 3.0"))
+    assert run_cli("forecast", "--checkpoint", "ckpt", "--csv", "series.csv",
+                   "--out", "plain.csv") == 0
+    frame = dt.load_csv("series.csv")
+    for row, code in ((-15, 0), (-14, 1)):
+        values = frame.values.copy()
+        values[row, 0] = 1.5e308
+        dt.save_csv(dt.SeriesFrame(values, frame.columns, frame.roles), "huge.csv")
+        capsys.readouterr()
+        assert run_cli("forecast", "--checkpoint", "ckpt", "--csv", "huge.csv",
+                       "--out", "fc.csv") == code
+    assert_one_error(capsys, "column 'y0' overflows when standardized by its scale 0.5")
+    assert (workdir / "fc.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+
+
 TRAIN = ["train", "--config", "exp.ini"]
 EVALUATE = ["evaluate", "--checkpoint", "ckpt", "--csv", "series.csv"]
 WITH_SCHEMA = EVALUATE + ["--schema", "schema.ini"]
@@ -715,6 +736,13 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
         "h.json", json.dumps({"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]},
                                           "weights": {"all": None}}]}).encode(),
         EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_too_large": (
+        "h.json", b'{"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]}, '
+                  b'"weights": {"all": 1' + b"0" * 400 + b"}}]}", EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_weight_too_many_digits": (
+        "h.json", b'{"levels": [{"name": "total", "groups": {"all": ["y0", "y1"]}, '
+                  b'"weights": {"all": 1' + b"0" * 5000 + b"}}]}", EVALUATE + ["--hierarchy", "h.json"]),
+    "hierarchy_nested_too_deep": ("h.json", b"[" * 100_000, EVALUATE + ["--hierarchy", "h.json"]),
     "csv_columns_swapped": ("swapped.csv", b"y1,y0\n1,2\n", EVALUATE[:-1] + ["swapped.csv"]),
     "forecast_csv_columns_swapped": ("swapped.csv", b"y1,y0\n1,2\n",
                                      FORECAST[:-1] + ["swapped.csv", "--out", "fc.csv"]),
@@ -760,6 +788,9 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
      "h.json: level 'total': groups must map each aggregate to a list of series names"),
     ("hierarchy_weight_bool", "hierarchy weight is not a number: level 'total', aggregate 'all'"),
     ("hierarchy_weight_null", "hierarchy weight is not a number: level 'total', aggregate 'all'"),
+    ("hierarchy_weight_too_large", "level 'total': weights sum to inf, expected 1"),
+    ("hierarchy_weight_too_many_digits", "level 'total': weights sum to inf, expected 1"),
+    ("hierarchy_nested_too_deep", "h.json: invalid hierarchy JSON: maximum recursion depth"),
     ("csv_columns_swapped", "swapped.csv: the non-static columns are y1 y0, but the checkpoint "
                             "expects y0 y1, in that order"),
     ("forecast_csv_columns_swapped", "swapped.csv: the non-static columns are y1 y0"),
@@ -914,6 +945,25 @@ def test_multi_chunk_evaluate_matches_numpy_oracle(workdir, capsys):
         assert float(fields[f"level {name}"]) == pytest.approx(score, rel=1e-12)
     worst = sorted(((rmsse([c]), c) for c in col), reverse=True)
     assert fields["worst series"] == " ".join(f"{c}={v:.4f}" for v, c in worst)
+
+
+def test_evaluate_subsets_the_scaler_once(workdir, capsys, monkeypatch):
+    # 684 windows in three chunks: evaluate makes the target columns' scaler
+    # once, before its chunk loop, and each chunk only inverts with it.
+    standardized_linear_checkpoint(workdir, 700, 4, 12, 5, 11)
+    calls = {"subset": 0, "invert": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dt.Standardizer, name, counted(name, getattr(dt.Standardizer, name)))
+    assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv") == 0
+    assert "windows: 684" in capsys.readouterr().out
+    assert calls == {"subset": 1, "invert": 3}
 
 
 def test_evaluate_memory_does_not_grow_with_window_count(workdir, capsys):

@@ -300,15 +300,37 @@ class TestStandardize:
         for k, col in enumerate(cols):
             i = scaler.columns.index(col)
             back[..., k] = back[..., k] * scaler.std[i] + scaler.mean[i]
-        assert scaler.invert(forecast, cols).tobytes() == back.tobytes()
+        assert scaler.subset(cols).invert(forecast).tobytes() == back.tobytes()
         with pytest.raises(errors.SchemaError, match="'s0' was not standardized"):
-            scaler.invert(forecast, ["y2", "s0", "y0"])
+            scaler.subset(["y2", "s0", "y0"])
 
     def test_invert_roundtrip(self):
         frame = self.frame()
         out, scaler = dt.global_standardize(frame, 70)
-        back = scaler.invert(out.values, ["a", "b"])
+        back = scaler.invert(out.values)
         np.testing.assert_allclose(back, frame.values, atol=1e-9)
+
+    def test_peak_memory_is_a_small_multiple_of_the_frame(self):
+        # 400 x 3,000 with every tenth column static: apply gathers the scaled
+        # columns once and scales them in place, and global_standardize drops
+        # its training rows before it applies the scaler.
+        names = [f"c{j}" for j in range(3000)]
+        roles = {c: "static" if j % 10 == 0 else "target" for j, c in enumerate(names)}
+        values = make_rng(6).normal(size=(400, len(names)))
+        values[:, ::10] = 2.5
+        frame = dt.SeriesFrame(values, names, roles)
+        _, scaler = dt.global_standardize(frame, 280)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: scaler.apply(frame)) < 2.25 * values.nbytes
+        assert peak(lambda: dt.global_standardize(frame, 280)) < 2.5 * values.nbytes
 
 
 class TestWindows:

@@ -1,5 +1,6 @@
-"""Property-based tests (Hypothesis) for the on-disk formats, the CSV
-reader, windowing and splits, tape gradients and row-wise RMSSE.
+"""Property-based tests (Hypothesis) for the on-disk formats (checkpoints,
+hierarchy JSON, schema INI), the CSV reader, windowing and splits, tape
+gradients and row-wise RMSSE.
 
 Example counts are bounded and the search is derandomized, so the suite
 stays fast and every run tries the same inputs.
@@ -7,6 +8,7 @@ stays fast and every run tries the same inputs.
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -81,6 +83,56 @@ def test_model_ini_mutations_only_raise_mixcast_errors(checkpoint, data):
         cli.load_checkpoint(directory / "mutant.ini")
     except MixcastError:
         pass
+
+
+def mutate(data, blob: bytes, alphabet) -> bytes:
+    """``blob`` truncated, or with one byte replaced or inserted, the byte
+    drawn from ``alphabet`` or from 0-255."""
+    cut = data.draw(st.integers(0, len(blob) - 1), label="position")
+    edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
+    if edit == "truncate":
+        return blob[:cut]
+    byte = bytes([data.draw(st.one_of(alphabet, st.integers(0, 255)), label="byte")])
+    return blob[:cut] + byte + blob[cut + (edit == "replace"):]
+
+
+HIERARCHY_JSON = json.dumps({"levels": [
+    {"name": "total", "groups": {"all": ["y0", "y1", "y2"]}, "weights": {"all": 1}},
+    {"name": "pair", "groups": {"a": ["y0", "y1"], "b": ["y2"]},
+     "weights": {"a": 0.25, "b": 0.75}},
+]}).encode()
+# Bytes that mean something to a JSON reader.
+JSON_BYTES = st.sampled_from(b'{}[]":,.-+0123456789eEtrufalsnNI \\')
+
+
+@settings(BOUNDED, max_examples=300)
+@given(data=st.data())
+def test_hierarchy_json_mutations_load_or_raise_mixcast_errors(data):
+    mutant = mutate(data, HIERARCHY_JSON, JSON_BYTES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hierarchy.json"
+        path.write_bytes(mutant)
+        try:
+            mt.load_hierarchy(path).validate(["y0", "y1", "y2"])
+        except MixcastError:
+            pass
+
+
+SCHEMA_INI = b"[roles]\nh = historical\nf = future\ns = static\n"
+
+
+@settings(BOUNDED, max_examples=300)
+@given(data=st.data())
+def test_schema_ini_mutations_load_or_raise_mixcast_errors(data):
+    mutant = mutate(data, SCHEMA_INI, INI_BYTES)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, schema = Path(tmp) / "series.csv", Path(tmp) / "schema.ini"
+        csv.write_text("y,h,f,s\n1,2,3,4\n2,3,5,4\n")
+        schema.write_bytes(mutant)
+        try:
+            dt.load_csv(csv, dt.load_schema(schema))
+        except MixcastError:
+            pass
 
 
 EXPERIMENT_INI = """\

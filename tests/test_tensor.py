@@ -774,8 +774,9 @@ class TestReluEpilogue:
     same values and gradients, bit for bit, with no second activation."""
 
     # (input shape, weight shape, time_axis): a batch and a 2-D input on each
-    # axis, one column with a batch of 33 (its bias gradient sums the batch in
-    # order), and the untaped narrow-and-tall and wide time-axis layouts.
+    # axis, one column with a batch of 33 (its bias gradient is one sum over
+    # the adjoint's column copy), and the untaped narrow-and-tall and wide
+    # time-axis layouts.
     CASES = [((5, 6, 3), (4, 3), False), ((6, 3), (4, 3), False),
              ((5, 6, 3), (7, 6), True), ((6, 3), (7, 6), True), ((33, 6, 1), (7, 6), True),
              ((4, 6, 3), (tc.NARROW_COLS + 1, 6), True),
