@@ -366,6 +366,7 @@ def cmd_train(args) -> int:
         if len(windows) == 0:
             raise DataError(f"{exp.csv}: the {name} split, rows [{lo}, {hi}), cannot host "
                             f"lookback {exp.window.lookback} + horizon {exp.window.horizon}")
+    del frame  # the window sets hold every row training reads
     model = md.Forecaster(config, seed=exp.seed)
     _, history = tr.train(model, train_w, val_w, exp.train)
 
@@ -383,12 +384,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model, scaler = load_checkpoint(args.checkpoint)
     raw_frame = _read_csv(args, model, scaler)
-    frame = scaler.apply(raw_frame) if scaler is not None else raw_frame
     cfg = model.config
-    windows = dt.make_windows(frame, dt.WindowSpec(cfg.lookback, cfg.horizon))
+    # The scaled frame is dropped once windowed: the windows hold every row they read.
+    windows = dt.make_windows(scaler.apply(raw_frame) if scaler is not None else raw_frame,
+                              dt.WindowSpec(cfg.lookback, cfg.horizon))
     if len(windows) == 0:
         raise DataError(f"{args.csv}: needs at least {cfg.lookback + cfg.horizon} rows to evaluate")
-    target_cols = frame.columns_for("target")
+    target_cols = raw_frame.columns_for("target")
     idx = raw_frame.indices_for("target")
     # Window k's truth is rows [k, k + horizon) of a row-major copy, laid out like its forecast
     # (``take`` copies once and row-major; ``[:, idx]`` would copy column-major).

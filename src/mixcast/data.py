@@ -11,10 +11,11 @@ lookback only), ``future`` (known over the horizon too), ``static``
     static   N x 1        x statics
     target   N x horizon  x targets
 
-These are read-only strided views onto a frozen copy of each role's
-columns, so windowing costs one pass over the frame however much the
-windows overlap, and a ``Tensor`` shares them instead of copying them.
-Indexing a batch with an index array makes the only full copy.
+History, future and target are read-only strided views onto one frozen
+copy of the rows the windows touch, so a window set costs one copy of
+those rows however much the windows overlap, and a ``Tensor`` shares them
+instead of copying them.  Indexing a batch with an index array makes the
+only other copy.
 
 Splits are chronological.  Windowing a split lets validation and test
 windows reach back across the partition boundary for lookback context —
@@ -268,17 +269,17 @@ class Standardizer:
         for c in self.columns:
             if c not in where:
                 raise SchemaError(f"standardizer column {c!r} missing from frame")
+        # Full-width statistics, 0 and 1 at the other columns: (x - 0) / 1 is exactly x.
+        mean, std = np.zeros(len(frame.columns)), np.ones(len(frame.columns))
         idx = [where[c] for c in self.columns]
-        scaled = frame.values[:, idx]  # the one copy, scaled in place
+        mean[idx], std[idx] = self.mean, self.std
         with np.errstate(over="ignore"):
-            scaled -= self.mean
-            scaled /= self.std
-        if not np.isfinite(scaled).all():
-            j = int(np.argmin(np.isfinite(scaled).all(axis=0)))
-            raise DataError(f"column {self.columns[j]!r} overflows when standardized "
-                            f"by its scale {float(self.std[j])!r}")
-        values = frame.values.copy()
-        values[:, idx] = scaled
+            values = frame.values - mean  # the one copy, scaled in place
+            values /= std
+        if not np.isfinite(values).all():
+            j = int(np.argmin(np.isfinite(values).all(axis=0)))
+            raise DataError(f"column {frame.columns[j]!r} overflows when standardized "
+                            f"by its scale {float(std[j])!r}")
         return SeriesFrame(values, list(frame.columns), dict(frame.roles))
 
     def subset(self, columns: list[str]) -> "Standardizer":
@@ -308,7 +309,7 @@ def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame
     cols = [frame.columns[j] for j in idx]
     train = frame.values[:train_rows, idx]
     mean, std = train.mean(axis=0), train.std(axis=0)
-    del train  # before apply makes its copies
+    del train  # before apply makes its copy
     flat = std < SCALE_FLOOR
     if np.any(flat):
         names = [c for c, f in zip(cols, flat) if f]
@@ -366,35 +367,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def window_view(values: np.ndarray, columns: list[int], stride: int, count: int,
-                width: int) -> np.ndarray:
-    """Read-only (count x width x len(columns)) windows of a frozen copy of
-    ``values[:, columns]``: window k holds rows [k*stride, k*stride + width)."""
-    if count == 0:
-        return _freeze(np.zeros((0, width, len(columns))))
-    windows = sliding_window_view(_freeze(values[:, columns]), width, axis=0)
-    return windows[: (count - 1) * stride + 1 : stride].swapaxes(1, 2)
-
-
 def _windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> WindowBatch:
     """Windows whose target block lies inside rows [lo, hi); history may
-    extend left of ``lo`` but not before row 0."""
+    extend left of ``lo`` but not before row 0.  History, future and target
+    are strided views of one frozen copy of the rows the windows touch, its
+    columns ordered target | historical | future; the static row is its own."""
     L, T, stride = spec.lookback, spec.horizon, spec.stride
-    targ_idx = frame.indices_for("target")
-    hist_idx = targ_idx + frame.indices_for("historical")
-    fut_idx = frame.indices_for("future")
-    stat_idx = frame.indices_for("static")
-
+    targ, hist, fut, stat = (frame.indices_for(role) for role in ROLES)
     first = max(lo - L, 0)
     starts = _freeze(np.arange(first, hi - L - T + 1, stride, dtype=np.int64))
-    n = starts.size
-    rows = frame.values[first : first + (n - 1) * stride + L + T]  # the rows windows touch
-    static_row = _freeze(rows[:1, stat_idx] if n else np.zeros((1, len(stat_idx))))
+    n, h = starts.size, len(targ) + len(hist)
+    if n:
+        # ``[rows, columns]`` copies column-major, so each window's time axis is contiguous.
+        block = _freeze(frame.values[first : first + (n - 1) * stride + L + T, targ + hist + fut])
+        history, lead = (sliding_window_view(rows, width, axis=0)[: (n - 1) * stride + 1 : stride]
+                         .swapaxes(1, 2) for rows, width in ((block[:, :h], L), (block[L:], T)))
+        static_row = _freeze(frame.values[first : first + 1, stat])
+    else:  # zero-length views: nothing that grows with the lookback
+        history, lead = _freeze(np.zeros((0, L, h))), _freeze(np.zeros((0, T, h + len(fut))))
+        static_row = _freeze(np.zeros((1, len(stat))))
     return WindowBatch(
-        history=window_view(rows, hist_idx, stride, n, L),
-        future=window_view(rows[L:], fut_idx, stride, n, T),
-        static=np.broadcast_to(static_row, (n, 1, len(stat_idx))),
-        target=window_view(rows[L:], targ_idx, stride, n, T),
+        history=history,
+        future=lead[..., h:],
+        static=np.broadcast_to(static_row, (n, 1, len(stat))),
+        target=lead[..., : len(targ)],
         starts=starts,
     )
 

@@ -39,8 +39,9 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     short for a window and on the training CSV with its columns swapped,
     each of which must exit 1 with one ``error:`` line on stderr; then a
     ``tsmixer_ext`` train, evaluate and forecast under a schema, on a CSV
-    that interleaves target, historical and static columns; both steps run
-    here."""
+    that interleaves target, historical and static columns; then a
+    ``tsmixer_ext`` train and evaluate on a CSV with a future column, where
+    forecast must exit 1 with one ``error:`` line; both steps run here."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["numpy-only"]["steps"]
     python = [step["with"]["python-version"] for step in steps
@@ -65,6 +66,9 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     assert ('"y0,h,s,y1' in script and "h = historical" in script and "s = static" in script
             and "family = tsmixer_ext" in script and "schema = {schema}" in script)
     assert script.count('"--schema", schema') == 2
+    assert ('"y0,z,y1' in script and "z = future" in script and "schema = {fut_schema}" in script
+            and script.count('"--schema", fut_schema') == 2)
+    assert script.count('code != 1 or len(lines) != 1 or not lines[0].startswith("error: ")') == 2
     exec(compile(script, "numpy-only CLI", "exec"), {})
 
 

@@ -1050,6 +1050,21 @@ def test_evaluate_memory_is_bounded_by_chunk_bytes(workdir, capsys, monkeypatch)
     assert capsys.readouterr().out.count("windows: 40\n") == 2
 
 
+def test_evaluate_holds_few_frame_sized_arrays(workdir, capsys):
+    # 400 x 3,000 targets: evaluate holds the raw frame, one window block and
+    # the truth; the scaled frame dies once windowed, and the target windows
+    # are views of the history block, not a copy of their own.
+    values, *_ = standardized_linear_checkpoint(workdir, 400, 3000, 64, 4, 17)
+    tracemalloc.start()
+    try:
+        assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "windows: 333" in capsys.readouterr().out
+    assert peak < 3.5 * values.nbytes
+
+
 def test_forecast_writes_horizon_rows(workdir):
     out = train_linear(workdir)
     assert run_cli("forecast", "--checkpoint", str(out), "--csv", "series.csv",

@@ -311,9 +311,9 @@ class TestStandardize:
         np.testing.assert_allclose(back, frame.values, atol=1e-9)
 
     def test_peak_memory_is_a_small_multiple_of_the_frame(self):
-        # 400 x 3,000 with every tenth column static: apply gathers the scaled
-        # columns once and scales them in place, and global_standardize drops
-        # its training rows before it applies the scaler.
+        # 400 x 3,000 with every tenth column static: apply copies the frame
+        # once and scales it in place, and global_standardize drops its
+        # training rows before it applies the scaler.
         names = [f"c{j}" for j in range(3000)]
         roles = {c: "static" if j % 10 == 0 else "target" for j, c in enumerate(names)}
         values = make_rng(6).normal(size=(400, len(names)))
@@ -329,8 +329,8 @@ class TestStandardize:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: scaler.apply(frame)) < 2.25 * values.nbytes
-        assert peak(lambda: dt.global_standardize(frame, 280)) < 2.5 * values.nbytes
+        assert peak(lambda: scaler.apply(frame)) < 1.5 * values.nbytes
+        assert peak(lambda: dt.global_standardize(frame, 280)) < 1.5 * values.nbytes
 
 
 class TestWindows:
@@ -373,6 +373,31 @@ class TestWindows:
     def test_spec_validation(self):
         with pytest.raises(errors.ConfigurationError, match="stride"):
             dt.make_windows(self.frame(20), dt.WindowSpec(4, 2, stride=0))
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_window_set_copies_its_rows_once(self):
+        # 400 x 3,000 targets: history and target are views of one copy of the
+        # rows, so the target columns are not copied a second time.
+        values = make_rng(7).normal(size=(400, 3000))
+        names = [f"y{j}" for j in range(values.shape[1])]
+        frame = dt.SeriesFrame(values, names, dict.fromkeys(names, "target"))
+        spec = dt.WindowSpec(35, 28)
+        assert self.peak(lambda: dt.make_windows(frame, spec)) < 1.25 * values.nbytes
+        batch = dt.make_windows(frame, spec)
+        assert np.shares_memory(batch.target, batch.history)
+
+    def test_an_empty_batch_allocates_nothing_that_grows_with_the_lookback(self):
+        spec = dt.WindowSpec(10**7, 3)
+        assert self.peak(lambda: dt.make_windows(self.frame(50), spec)) < 2**20
+        assert len(dt.make_windows(self.frame(50), spec)) == 0
 
 
 def stacked_windows(frame, spec, lo, hi):
