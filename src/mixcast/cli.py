@@ -361,7 +361,8 @@ def cmd_train(args) -> int:
     config = _model_config_for(frame, exp)
     # A batch holds at most one window per row of the frame.
     _check_array_sizes(config, min(exp.train.batch_size, frame.n_steps))
-    train_w, val_w, _ = dt.split_windows(frame, exp.split, exp.window)
+    # Only the training and validation windows: train never reads the test split.
+    train_w, val_w = (dt.windows_between(frame, exp.window, lo, hi) for lo, hi in bounds[:2])
     for name, windows, (lo, hi) in zip(("training", "validation"), (train_w, val_w), bounds):
         if len(windows) == 0:
             raise DataError(f"{exp.csv}: the {name} split, rows [{lo}, {hi}), cannot host "
@@ -412,16 +413,19 @@ def cmd_evaluate(args) -> int:
     mse, mae = sq_sum / truth.size, abs_sum / truth.size
     lines = [f"# {provenance()}", f"windows: {len(windows)}",
              f"mse: {mse!r}", f"mae: {mae!r}"]
+    last = [pred[-1].T, truth[-1].T.copy()]  # the final horizon, one row per target
+    del windows, truth, chunk, out, err  # so the hierarchy holds nothing window-sized
 
     if args.hierarchy:
         spec = mt.load_hierarchy(args.hierarchy)
         # Single holdout: the last window (stride 1) forecasts the final horizon.
         cut = raw_frame.n_steps - cfg.horizon
-        series = [pred[-1].T, raw_frame.values[cut:, idx].T, raw_frame.values[:cut, idx].T]
+        series = [*last, raw_frame.values[:cut, idx].T]
         score, per_level = mt.wrmsse(*(dict(zip(target_cols, s)) for s in series), spec)
         lines.append(f"wrmsse: {score!r}")
         lines += [f"level {name}: {value!r}" for name, value in per_level.items()]
-        per_series = sorted(zip(mt.rmsse(*series).tolist(), target_cols), reverse=True)
+        scores = mt.rmsse_rows(*series, lambda i: f"series {target_cols[i]!r}")
+        per_series = sorted(zip(scores.tolist(), target_cols), reverse=True)
         worst = " ".join(f"{c}={v:.4f}" for v, c in per_series[:5])
         lines.append(f"worst series: {worst}")
 

@@ -367,11 +367,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> WindowBatch:
+def windows_between(frame: SeriesFrame, spec: WindowSpec, lo: int, hi: int) -> WindowBatch:
     """Windows whose target block lies inside rows [lo, hi); history may
     extend left of ``lo`` but not before row 0.  History, future and target
     are strided views of one frozen copy of the rows the windows touch, its
     columns ordered target | historical | future; the static row is its own."""
+    spec.validate()
     L, T, stride = spec.lookback, spec.horizon, spec.stride
     targ, hist, fut, stat = (frame.indices_for(role) for role in ROLES)
     first = max(lo - L, 0)
@@ -402,8 +403,7 @@ def make_windows(frame: SeriesFrame, spec: WindowSpec) -> WindowBatch:
     frame too short for a single window gives an empty batch, and the caller
     decides whether that is an error.
     """
-    spec.validate()
-    return _windows_between(frame, spec, 0, frame.n_steps)
+    return windows_between(frame, spec, 0, frame.n_steps)
 
 
 @dataclass
@@ -453,7 +453,7 @@ def split_windows(frame: SeriesFrame, split_spec: SplitSpec,
     backwards (targets stay inside their partition)."""
     window_spec.validate()
     b = split_spec.bounds(frame.n_steps)
-    return tuple(_windows_between(frame, window_spec, lo, hi) for lo, hi in b)
+    return tuple(windows_between(frame, window_spec, lo, hi) for lo, hi in b)
 
 
 # ---------------------------------------------------------------------------

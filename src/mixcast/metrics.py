@@ -8,7 +8,9 @@ forecast on a random walk.  Leading zeros in the history (series not yet
 WRMSSE evaluates a whole hierarchy: each level groups base series into
 aggregates (by summation), each aggregate contributes its RMSSE times a
 level-local weight (weights sum to 1 per level), and the headline score
-is the mean over levels.
+is the mean over levels.  An aggregate adds its members one by one in
+listed order, straight from the caller's arrays, and a level is scored
+``CHUNK`` aggregates at a time, so no array grows with the series count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ import numpy as np
 from .errors import MetricError, SchemaError, reading
 
 WEIGHT_ATOL = 1e-9
+CHUNK = 1024  # rows per ``rmsse`` call: series in ``rmsse_rows``, aggregates in ``wrmsse``
 
 
 def rmsse(forecast, actual, train_history) -> float | np.ndarray:
@@ -41,12 +45,28 @@ def rmsse(forecast, actual, train_history) -> float | np.ndarray:
         scale[i] = np.mean(np.diff(h[i, -live[i]:]) ** 2)
     bad = (live < 2) | (scale <= 0.0)
     if bad.any():
-        i = bad.argmax()
-        raise MetricError("rmsse: history has no nonzero observations" if live[i] == 0 else
+        i = int(bad.argmax())
+        exc = MetricError("rmsse: history has no nonzero observations" if live[i] == 0 else
                           "rmsse: history needs at least two live observations" if live[i] < 2
                           else "rmsse: history is constant, the scale is undefined")
+        exc.row = i  # so a caller can name the series
+        raise exc
     scores = np.sqrt(np.mean((f - a) ** 2, axis=1) / scale)
     return float(scores[0]) if one else scores
+
+
+def rmsse_rows(forecast, actual, history, name) -> np.ndarray:
+    """``rmsse`` of (k, T), (k, T) and (k, n) arrays, ``CHUNK`` rows per call; a bad
+    row's MetricError keeps ``rmsse``'s reason behind ``name(row)``."""
+    scores = []
+    for lo in range(0, len(forecast), CHUNK):
+        try:
+            scores.append(rmsse(*(x[lo:lo + CHUNK] for x in (forecast, actual, history))))
+        except MetricError as exc:
+            if not hasattr(exc, "row"):  # the arrays' shapes are wrong, not one row
+                raise
+            raise MetricError(f"{name(lo + exc.row)}: {exc}") from exc
+    return np.concatenate(scores)
 
 
 @dataclass
@@ -110,32 +130,32 @@ def wrmsse(forecasts: dict[str, np.ndarray], actuals: dict[str, np.ndarray],
     """Weighted RMSSE over a hierarchy; returns (score, per-level scores).
 
     ``forecasts``/``actuals`` map base series ids to horizon arrays and
-    ``histories`` to their training histories, all of one length per kind;
-    aggregates sum their members in listed order.
+    ``histories`` to their training histories, all of one length per kind.
+    An aggregate adds its members one by one in listed order, reading the
+    caller's arrays; a level is scored ``CHUNK`` aggregates at a time, and a
+    bad aggregate's MetricError names its level and aggregate.
     """
     ids = sorted(forecasts)
     if set(actuals) != set(ids) or set(histories) != set(ids):
         raise MetricError("wrmsse: forecasts, actuals, and histories must cover the same series")
     spec.validate(ids)
-    parts = [[np.asarray(d[c], dtype=np.float64).reshape(-1)
-              for d in (forecasts, actuals, histories)] for c in ids]
-    lengths = [tuple(map(len, p)) for p in parts]
+    kinds = [{c: np.asarray(d[c], dtype=np.float64).reshape(-1) for c in ids}
+             for d in (forecasts, actuals, histories)]
+    lengths = [tuple(len(k[c]) for k in kinds) for c in ids]
     for c, n in zip(ids, lengths):
         if n != lengths[0]:
             raise MetricError(f"wrmsse: series {c!r} has forecast, actual and history lengths "
                               f"{n}, but {ids[0]!r} has {lengths[0]}")
-    # One row per series, f | a | h, summed as one: numpy adds an axis-0 sum's
-    # rows in order only when they are two or more wide (one-wide is pairwise).
-    base = np.array([np.concatenate(p) for p in parts])
-    index = {c: i for i, c in enumerate(ids)}
     per_level: dict[str, float] = {}
     for level in spec.levels:
-        rows = np.array([base[[index[m] for m in ms]].sum(axis=0)
-                         for ms in level.groups.values()])
-        scores = rmsse(*np.split(rows, np.cumsum(lengths[0][:2]), axis=1))
-        score = 0.0
-        for agg, r in zip(level.groups, scores.tolist()):
-            score += level.weights[agg] * r
+        aggregates, score = list(level.groups.items()), 0.0
+        for lo in range(0, len(aggregates), CHUNK):
+            part = aggregates[lo:lo + CHUNK]
+            rows = [np.array([reduce(np.add, [k[m] for m in members]) for _, members in part])
+                    for k in kinds]
+            scores = rmsse_rows(*rows, lambda i: f"level {level.name!r}, aggregate {part[i][0]!r}")
+            for (agg, _), r in zip(part, scores.tolist()):
+                score += level.weights[agg] * r
         per_level[level.name] = score
     return float(np.mean(list(per_level.values()))), per_level
 

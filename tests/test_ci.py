@@ -34,10 +34,12 @@ def heredoc(run: str) -> str:
 
 def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch():
     """The no-extras install trains one negative-binomial epoch, then runs
-    every subcommand: synth, train, evaluate --hierarchy, forecast, and
-    verify-theory with and without --corrupt, and evaluate on a CSV too
-    short for a window and on the training CSV with its columns swapped,
-    each of which must exit 1 with one ``error:`` line on stderr; then a
+    every subcommand: synth, train, evaluate --hierarchy (a total and a
+    per-series level), forecast, and verify-theory with and without
+    --corrupt, and evaluate on a CSV too short for a window and on the
+    training CSV with its columns swapped, each of which must exit 1 with
+    one ``error:`` line on stderr, and ``evaluate --hierarchy`` on a CSV
+    with a constant column, whose one ``error:`` line must name it; then a
     ``tsmixer_ext`` train, evaluate and forecast under a schema, on a CSV
     that interleaves target, historical and static columns; then a
     ``tsmixer_ext`` train and evaluate on a CSV with a future column, where
@@ -63,12 +65,15 @@ def test_numpy_only_job_installs_no_extras_and_trains_a_negative_binomial_epoch(
     assert ('code != 1 or len(lines) != 1 or not lines[0].startswith("error: ")' in script
             and '"--steps", "10"' in script and "redirect_stderr(err)" in script)
     assert "for bad in (short, swapped):" in script and 'f"{b},{a}\\n"' in script
+    assert '{"name": "series", "groups": {"y0": ["y0"], "y1": ["y1"]}' in script
+    assert ('f"{a},1.5\\n"' in script and '"--csv", flat,' in script
+            and "\"'y1'\" not in lines[0]" in script)
     assert ('"y0,h,s,y1' in script and "h = historical" in script and "s = static" in script
             and "family = tsmixer_ext" in script and "schema = {schema}" in script)
     assert script.count('"--schema", schema') == 2
     assert ('"y0,z,y1' in script and "z = future" in script and "schema = {fut_schema}" in script
             and script.count('"--schema", fut_schema') == 2)
-    assert script.count('code != 1 or len(lines) != 1 or not lines[0].startswith("error: ")') == 2
+    assert script.count('code != 1 or len(lines) != 1 or not lines[0].startswith("error: ")') == 3
     exec(compile(script, "numpy-only CLI", "exec"), {})
 
 

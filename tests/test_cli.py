@@ -142,6 +142,21 @@ def test_train_produces_all_artifacts(workdir, capsys):
     assert last < first
 
 
+def test_train_windows_only_the_training_and_validation_rows(workdir, monkeypatch):
+    # 200 rows split 140 / 40 / 20: the last validation window's target ends at
+    # row 180, and no window set reaches into the test rows train never reads.
+    made = []
+
+    class Recorded(dt.WindowBatch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.starts)
+
+    monkeypatch.setattr(dt, "WindowBatch", Recorded)
+    train_linear(workdir)
+    assert max(int(starts.max()) for starts in made if starts.size) + 14 + 7 == 180
+
+
 def test_rerun_is_byte_identical(workdir):
     out1 = train_linear(workdir, out="run1")
     (workdir / "exp.ini").write_text(LINEAR_INI.format(out="run2"))
@@ -693,6 +708,7 @@ EVALUATE = ["evaluate", "--checkpoint", "ckpt", "--csv", "series.csv"]
 WITH_SCHEMA = EVALUATE + ["--schema", "schema.ini"]
 FORECAST = ["forecast"] + EVALUATE[1:]
 DIRECTORY = object()  # contents that make the file a directory
+TOTAL_ONLY = ["--hierarchy", str(Path(__file__).parent / "data" / "total_y0_y1.json")]
 MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     "config_no_section": ("exp.ini", b"seed = 1\n", TRAIN),
     "config_repeated_section": ("exp.ini", b"[run]\nseed = 1\n[run]\nseed = 2\n", TRAIN),
@@ -759,6 +775,12 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     "csv_duplicate_column": ("dup.csv", b"y0,y1,y0\n1,2,3\n", EVALUATE[:-1] + ["dup.csv"]),
     "evaluate_out_directory": ("adir", DIRECTORY, EVALUATE + ["--out", "adir"]),
     "forecast_out_no_parent": ("no/such/fc.csv", None, FORECAST + ["--out", "no/such/fc.csv"]),
+    "csv_constant_series": (  # y1 is constant
+        "flat.csv", b"y0,y1\n" + b"".join(b"%d,2\n" % (t % 5) for t in range(30)),
+        EVALUATE[:-1] + ["flat.csv"] + TOTAL_ONLY),
+    "csv_constant_aggregate": (  # y0 + y1 is constant
+        "flat.csv", b"y0,y1\n" + b"".join(b"%d,%d\n" % (t % 5, 9 - t % 5) for t in range(30)),
+        EVALUATE[:-1] + ["flat.csv"] + TOTAL_ONLY),
     "train_out_existing_file": (
         "exp.ini", b"[run]\nout = series.csv\n[data]\ncsv = series.csv\n"
                    b"[window]\nlookback = 14\nhorizon = 7\n[train]\nmax_epochs = 1\n", TRAIN),
@@ -804,6 +826,8 @@ MALFORMED_INPUTS = {  # case: (file, contents or None for absent, command line)
     ("evaluate_out_directory", "cannot write adir: Is a directory"),
     ("forecast_out_no_parent", "cannot write no/such/fc.csv: No such file or directory"),
     ("train_out_existing_file", "cannot write series.csv: File exists"),
+    ("csv_constant_series", "series 'y1': rmsse: history is constant, the scale is undefined"),
+    ("csv_constant_aggregate", "level 'total', aggregate 'all': rmsse: history is constant"),
 ])
 def test_malformed_input_exits_1(workdir, capsys, case, message):
     broken_checkpoint(workdir, "none")
@@ -1063,6 +1087,31 @@ def test_evaluate_holds_few_frame_sized_arrays(workdir, capsys):
         tracemalloc.stop()
     assert "windows: 333" in capsys.readouterr().out
     assert peak < 3.5 * values.nbytes
+
+
+def test_evaluate_hierarchy_holds_no_more_than_plain_evaluate(workdir, capsys):
+    # The same 400 x 3,000 targets with a total / 30-group / series hierarchy:
+    # the windows and the truth die before the hierarchy is scored, which adds
+    # one history copy and chunk-sized sums, so the peak stays near plain evaluate's.
+    values, *_ = standardized_linear_checkpoint(workdir, 400, 3000, 64, 4, 17)
+    cols = [f"s{j}" for j in range(3000)]
+    groups = {f"g{k}": cols[k::30] for k in range(30)}
+    (workdir / "hier.json").write_text(json.dumps({"levels": [
+        {"name": "total", "groups": {"all": cols}, "weights": {"all": 1.0}},
+        {"name": "group", "groups": groups, "weights": dict.fromkeys(groups, 1 / 30)},
+        {"name": "series", "groups": {c: [c] for c in cols},
+         "weights": dict.fromkeys(cols, 1 / 3000)},
+    ]}))
+    peaks = []
+    for extra in ([], ["--hierarchy", "hier.json"]):
+        tracemalloc.start()
+        try:
+            assert run_cli("evaluate", "--checkpoint", "ckpt", "--csv", "wide.csv", *extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert "level series: " in capsys.readouterr().out
+    assert peaks[1] < 3.5 * values.nbytes and peaks[1] < 1.05 * peaks[0]
 
 
 def test_forecast_writes_horizon_rows(workdir):

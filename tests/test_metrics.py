@@ -3,6 +3,7 @@
 import functools
 import json
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,72 @@ class TestWrmsse:
         rows = [np.array([d["s1"] + d["s2"], d["s2"] + d["s3"]])
                 for d in (forecasts, actuals, histories)]
         assert per_level["pairs"] == 0.5 * mt.rmsse(*rows)[0] + 0.5 * mt.rmsse(*rows)[1]
+
+
+    def test_a_level_wider_than_a_chunk_scores_each_aggregate_as_alone(self):
+        # 2,100 series: the pair level (1,050 aggregates) and the series level
+        # (2,100) each span chunks, and each must sum to what one aggregate at a
+        # time, added member by member and scored alone, gives bit for bit.
+        rng = make_rng(93)
+        ids = [f"s{i:04d}" for i in range(2100)]
+        kinds = [{c: rng.normal(10.0, 3.0, size=n) for c in ids} for n in (3, 3, 12)]
+        pairs = {f"p{k}": ids[k::1050] for k in range(1050)}
+        spec = mt.HierarchySpec([
+            mt.HierarchyLevel("pair", pairs, {k: 1 / len(pairs) for k in pairs}),
+            mt.HierarchyLevel("series", {c: [c] for c in ids}, dict.fromkeys(ids, 1 / len(ids))),
+        ])
+        assert len(pairs) > mt.CHUNK
+        _, per_level = mt.wrmsse(*kinds, spec)
+        for level in spec.levels:
+            want = 0.0
+            for agg, members in level.groups.items():
+                f, a, h = (functools.reduce(operator.add, [d[m] for m in members]) for d in kinds)
+                want += level.weights[agg] * mt.rmsse(f, a, h)
+            assert per_level[level.name] == want
+
+    def test_peak_memory_is_under_the_inputs_own_bytes(self):
+        # 3,000 series x 400 steps and three levels: the aggregates are summed
+        # into one chunk at a time, never into a copy of every series.
+        rng = make_rng(94)
+        ids = [f"s{i}" for i in range(3000)]
+        rows = [rng.normal(size=(len(ids), n)) for n in (28, 28, 400)]
+        groups = {f"g{k}": ids[k::30] for k in range(30)}
+        spec = mt.HierarchySpec([
+            mt.HierarchyLevel("total", {"all": ids}, {"all": 1.0}),
+            mt.HierarchyLevel("group", groups, {g: 1 / 30 for g in groups}),
+            mt.HierarchyLevel("series", {c: [c] for c in ids}, dict.fromkeys(ids, 1 / len(ids))),
+        ])
+        kinds = [dict(zip(ids, r)) for r in rows]
+        tracemalloc.start()
+        try:
+            mt.wrmsse(*kinds, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(r.nbytes for r in rows)
+
+    def test_a_bad_aggregate_names_its_level_and_aggregate(self):
+        forecasts, actuals, histories, spec = toy_problem()
+        histories["s2"] = np.full(40, 3.0)
+        with pytest.raises(errors.MetricError, match="^level 'series', aggregate 's2': rmsse: "
+                           "history is constant, the scale is undefined$"):
+            mt.wrmsse(forecasts, actuals, histories, spec)
+
+    def test_an_empty_horizon_is_not_blamed_on_one_aggregate(self):
+        _, _, histories, spec = toy_problem()
+        empty = {c: np.zeros(0) for c in histories}
+        with pytest.raises(errors.MetricError, match="^forecast horizon"):
+            mt.wrmsse(empty, dict(empty), histories, spec)
+
+    def test_rmsse_rows_names_a_bad_row_past_the_first_chunk(self):
+        rng = make_rng(95)
+        k = mt.CHUNK + 3
+        f, a, h = (rng.normal(size=(k, n)) for n in (4, 4, 9))
+        assert mt.rmsse_rows(f, a, h, None).tobytes() == mt.rmsse(f, a, h).tobytes()
+        h[mt.CHUNK + 1] = 0.0
+        with pytest.raises(errors.MetricError, match=f"^row {mt.CHUNK + 1}: rmsse: history has "
+                           "no nonzero observations$"):
+            mt.rmsse_rows(f, a, h, lambda i: f"row {i}")
 
 
 class TestWeightsAndLoading:
