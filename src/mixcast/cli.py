@@ -289,7 +289,11 @@ def load_checkpoint(path: Path) -> tuple[md.Forecaster, dt.Standardizer | None]:
         if not np.all(np.isfinite(blob[key])):
             raise FormatError(f"{params_path}: {kind} {name!r} holds non-finite values")
         (model.params if kind == "parameter" else model.buffers)[name][...] = blob[key]
-    return model, _read_scaler(parser, ini)
+    scaler = _read_scaler(parser, ini)
+    if scaler is not None and cfg.head == "negative_binomial":  # as cmd_train refuses nb_nll
+        raise ConfigurationError(f"{ini}: a negative-binomial head models raw counts, "
+                                 "so its checkpoint must set preprocess.standardize = False")
+    return model, scaler
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,14 @@ def global_standardize(frame: SeriesFrame, train_rows: int) -> tuple[SeriesFrame
     idx = frame.scaled_indices()
     cols = [frame.columns[j] for j in idx]
     train = frame.values[:train_rows, idx]
-    mean, std = train.mean(axis=0), train.std(axis=0)
+    with np.errstate(all="ignore"):  # no numpy warnings: the check below names a failure
+        mean, std = train.mean(axis=0), train.std(axis=0)
     del train  # before apply makes its copy
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise DataError(f"column {cols[j]!r} overflows in its training statistics: "
+                        f"mean {float(mean[j])!r}, std {float(std[j])!r}")
     flat = std < SCALE_FLOOR
     if np.any(flat):
         names = [c for c, f in zip(cols, flat) if f]

@@ -35,7 +35,8 @@ def rmsse(forecast, actual, train_history) -> float | np.ndarray:
     1-D arrays are one series and give a float.  A bad row raises for the
     first one; each row is scored exactly as it would be alone."""
     one = np.ndim(forecast) < 2
-    f, a, h = (np.atleast_2d(np.asarray(x, dtype=np.float64))
+    # C order: numpy sums a column-major row in another order than the row alone.
+    f, a, h = (np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
                for x in (forecast, actual, train_history))
     if f.shape != a.shape or f.shape[1] == 0:
         raise MetricError(f"forecast horizon {f.shape[1:]} does not match actuals {a.shape[1:]}")

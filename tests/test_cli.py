@@ -5,12 +5,14 @@ files can be asserted directly; training runs are kept tiny.
 """
 
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +237,18 @@ def test_a_constant_column_trains_with_one_warning_line(workdir, capsys):
     assert capsys.readouterr().err == (
         "warning: columns ['c'] are constant over the training rows; "
         "standardizing with a floored deviation\n")
+
+
+@pytest.mark.parametrize("value", [1.5e308, 1e200])  # the mean overflows; only the variance
+def test_overflowing_training_statistics_are_one_error_line(workdir, capsys, value):
+    (workdir / "series.csv").write_text("y0,y1\n" + "".join(
+        f"{(-1) ** t * value!r},{math.sin(t / 3)!r}\n" for t in range(120)))
+    (workdir / "exp.ini").write_text("[run]\nout = run\n[data]\ncsv = series.csv\n"
+                                     "[window]\nlookback = 16\nhorizon = 4\n")
+    capsys.readouterr()
+    assert run_cli(*TRAIN) == 1
+    assert_one_error(capsys, "column 'y0' overflows in its training statistics")
+    assert not (workdir / "run" / "model.ini").exists()
 
 
 def test_two_split_fractions_are_one_error_line(workdir, capsys):
@@ -572,6 +586,8 @@ def broken_checkpoint(workdir, case):
     """A small batch2d checkpoint with one defect, plus a CSV to evaluate."""
     cfg = md.ModelConfig(family="tsmixer", lookback=14, horizon=7, targets=2,
                          hidden=4, blocks=1, norm="batch2d")
+    if case == "nb_with_scaler":  # counts scaled, as cmd_train refuses to train them
+        cfg = replace(cfg, family="tsmixer_ext", head="negative_binomial")
     model = md.Forecaster(cfg, seed=1)
     ckpt = workdir / "ckpt"
     ckpt.mkdir()
@@ -662,6 +678,7 @@ def test_a_model_ini_with_an_unknown_key_is_one_error_line(workdir, capsys):
     ("trailing_bytes", "8 trailing bytes after the last payload"),
     ("overlapping_offset", "is at offset 0, expected"),
     ("duplicate_name", "duplicate entry"),
+    ("nb_with_scaler", "a negative-binomial head models raw counts"),
 ])
 def test_malformed_checkpoint_exits_1(workdir, capsys, case, message):
     ckpt = broken_checkpoint(workdir, case)
@@ -1150,6 +1167,29 @@ def test_forecast_refuses_future_covariates_before_reading_the_csv(workdir, caps
         "error: forecasting with future covariates needs horizon rows that do not exist yet; "
         "provide them via evaluate on an extended CSV instead\n"))
     assert not (workdir / "fc.csv").exists()
+
+
+@pytest.mark.parametrize("header, roles, forecast_exit", [
+    ("y0,h,s,y1", "h = historical\ns = static\n", 0),  # roles interleaved with the targets
+    ("y0,z,y1", "z = future\n", 1),  # forecast has no horizon rows of z to read
+], ids=["historical_and_static", "future"])
+def test_tsmixer_ext_under_a_schema(workdir, capsys, header, roles, forecast_exit):
+    column = {"y0": lambda t: math.sin(t / 3), "h": lambda t: math.cos(t / 5),
+              "z": lambda t: math.cos(t / 5), "s": lambda t: 2.5, "y1": lambda t: math.sin(t / 7)}
+    (workdir / "mixed.csv").write_text(header + "\n" + "".join(
+        ",".join(repr(column[c](t)) for c in header.split(",")) + "\n" for t in range(80)))
+    (workdir / "schema.ini").write_text("[roles]\n" + roles)
+    (workdir / "exp.ini").write_text("[data]\ncsv = mixed.csv\nschema = schema.ini\n"
+                                     "[window]\nlookback = 16\nhorizon = 4\n[model]\n"
+                                     "family = tsmixer_ext\nhidden = 4\nblocks = 1\n"
+                                     "[train]\nmax_epochs = 1\n")
+    run = ["--checkpoint", "ckpt", "--csv", "mixed.csv", "--schema", "schema.ini"]
+    assert run_cli(*TRAIN, "--out", "ckpt") == 0
+    assert run_cli("evaluate", *run) == 0
+    capsys.readouterr()
+    assert run_cli("forecast", *run, "--out", "fc.csv") == forecast_exit
+    if forecast_exit:
+        assert_one_error(capsys, "forecasting with future covariates needs horizon rows")
 
 
 def test_nb_forecast_emits_mean_and_dispersion(workdir):

@@ -46,6 +46,11 @@ class TestRmsse:
         assert scores.tolist() == [mt.rmsse(forecasts[i], actuals[i], histories[i]) for i in ids]
         assert isinstance(mt.rmsse(forecasts["s1"], actuals["s1"], histories["s1"]), float)
 
+    def test_column_major_rows_score_as_each_row_alone(self):
+        rng = make_rng(92)
+        f, a, h = (np.asfortranarray(rng.normal(size=(50, n))) for n in (28, 28, 300))
+        assert mt.rmsse(f, a, h).tolist() == [mt.rmsse(f[i], a[i], h[i]) for i in range(50)]
+
     def test_one_step_naive_on_random_walk_scores_near_one(self):
         # The scale is built from one-step differences, so the matching
         # reference is the one-step naive: forecast each horizon step from
